@@ -7,10 +7,10 @@
 
 use sdvm_core::telemetry::prom_label_escape;
 use sdvm_core::{
-    cluster_prometheus_text, digest_of, prometheus_text, ClusterRollup, HistogramSnapshot,
-    SiteMetrics,
+    cluster_prometheus_text, prometheus_text, ClusterRollup, HistogramSnapshot, SiteMetrics,
 };
 use sdvm_types::SiteId;
+use sdvm_wire::WireMetricsSummary;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A populated per-site exposition plus the cluster rollup rendering —
@@ -34,8 +34,8 @@ fn full_exposition() -> (String, String) {
     let per_site = prometheus_text(&[(SiteId(1), m)]);
 
     let rollup = ClusterRollup::new();
-    rollup.record(SiteId(1), digest_of(&SiteMetrics::default()));
-    rollup.record(SiteId(2), digest_of(&SiteMetrics::default()));
+    rollup.record(SiteId(1), WireMetricsSummary::default());
+    rollup.record(SiteId(2), WireMetricsSummary::default());
     let cluster = cluster_prometheus_text(&rollup.totals());
     (per_site, cluster)
 }
@@ -293,4 +293,202 @@ fn family_list_matches_design_doc() {
         stale.is_empty(),
         "families documented in DESIGN.md §5.1 but never emitted: {stale:?}"
     );
+}
+
+/// A histogram snapshot with distinct, seed-dependent bucket counts.
+fn hist(seed: u64) -> HistogramSnapshot {
+    let buckets: Vec<u64> = (0..12).map(|i| (seed + i) % 5).collect();
+    HistogramSnapshot {
+        count: buckets.iter().sum(),
+        sum_us: seed * 1000 + 7,
+        buckets,
+    }
+}
+
+/// Two sites' snapshots with every field holding its own non-zero
+/// value, and the cluster rollup of two distinct digests.
+fn pinned_exposition() -> String {
+    let full = SiteMetrics {
+        messages_sent: 101,
+        messages_received: 102,
+        help_requests: 103,
+        help_granted: 104,
+        help_denied: 105,
+        suspicions_raised: 106,
+        suspicions_refuted: 107,
+        zombies_fenced: 108,
+        crashes_declared: 109,
+        frames_executed: 110,
+        frames_retried: 111,
+        frames_quarantined: 112,
+        handler_panics: 113,
+        workers_respawned: 114,
+        programs_stuck: 115,
+        mem_replica_hits: 116,
+        mem_replica_misses: 117,
+        mem_invalidations: 118,
+        mem_chase_hops: hist(1),
+        replicas_dispatched: 119,
+        result_divergence: 120,
+        hedges_fired: 121,
+        hedge_wins: 122,
+        hedge_delay_us: hist(2),
+        drain_started: 123,
+        drain_completed: 124,
+        drain_objects_relocated: 125,
+        drain_frames_relocated: 126,
+        drain_dead_letters_swept: 127,
+        drain_duration_us: hist(3),
+        checkpoint_incremental_cuts: 128,
+        checkpoint_incremental_shards_captured: 129,
+        checkpoint_incremental_shards_reused: 130,
+        checkpoint_incremental_block_us: hist(4),
+        mem_shard_contention: vec![0, 3, 131],
+        outbound_queue_depth: 132,
+        net_peers_connected: 133,
+        net_driver_threads: 134,
+        coord_error_ms: 135,
+        backpressure_stalls: 136,
+        bus_dropped: 137,
+        bus_tap_dropped: 138,
+        career_total_us: hist(5),
+        career_wait_us: hist(6),
+        career_fetch_us: hist(7),
+        career_exec_us: hist(8),
+        seal_us: hist(9),
+        open_us: hist(10),
+        dispatch_us: vec![
+            ("Scheduling".to_string(), hist(11)),
+            ("needs \"escaping\"\\\n".to_string(), hist(12)),
+        ],
+        help_rtt_us: hist(13),
+        compile_us: hist(14),
+        detection_latency_us: hist(15),
+        retry_delay_us: hist(16),
+        ..Default::default()
+    };
+    let sparse = SiteMetrics {
+        frames_executed: 1,
+        career_total_us: HistogramSnapshot {
+            count: 1,
+            sum_us: u64::MAX,
+            buckets: vec![0; 40].into_iter().chain([1]).collect(),
+        },
+        ..Default::default()
+    };
+    let mut text = prometheus_text(&[(SiteId(1), full), (SiteId(7), sparse)]);
+
+    let rollup = ClusterRollup::new();
+    rollup.record(
+        SiteId(1),
+        WireMetricsSummary {
+            messages_sent: 201,
+            messages_received: 202,
+            frames_executed: 203,
+            frames_retried: 204,
+            frames_quarantined: 205,
+            crashes_declared: 206,
+            help_requests: 207,
+            help_granted: 208,
+            career_sum_us: 90_000,
+            career_buckets: vec![1, 0, 2, 0, 3, 40, 500, 6],
+            help_rtt_sum_us: 7_000,
+            help_rtt_buckets: vec![0, 0, 0, 0, 0, 0, 0, 0, 9, 1],
+        },
+    );
+    rollup.record(
+        SiteId(2),
+        WireMetricsSummary {
+            messages_sent: 1,
+            frames_executed: 2,
+            career_sum_us: 5,
+            career_buckets: vec![0, 1, 1],
+            ..Default::default()
+        },
+    );
+    text.push_str(&cluster_prometheus_text(&rollup.totals()));
+    text
+}
+
+/// Split an exposition into family blocks: the `# HELP` line, the
+/// `# TYPE` line, then the sample lines that follow them.
+fn family_blocks(text: &str) -> BTreeMap<String, Vec<&str>> {
+    let mut blocks: BTreeMap<String, Vec<&str>> = BTreeMap::new();
+    let mut current = String::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            current = rest
+                .split_whitespace()
+                .next()
+                .expect("HELP names a family")
+                .to_string();
+        }
+        blocks.entry(current.clone()).or_default().push(line);
+    }
+    blocks
+}
+
+/// FNV-1a over the block's sample lines (newline-terminated).
+fn fnv1a(lines: &[&str]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in lines.iter().flat_map(|l| l.bytes().chain([b'\n'])) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Render blocks in the golden's form: short blocks verbatim; longer
+/// ones keep the two header lines and condense the sample lines to a
+/// count and a hash (a histogram block is 34 lines per series; the
+/// hash pins every byte of them).
+fn condensed(blocks: &BTreeMap<String, Vec<&str>>) -> BTreeMap<String, String> {
+    blocks
+        .iter()
+        .map(|(name, lines)| {
+            let (head, samples) = lines.split_at(2.min(lines.len()));
+            let block = if samples.len() <= 3 {
+                format!("{}\n", lines.join("\n"))
+            } else {
+                format!(
+                    "{}\n= {} samples, fnv1a {:016x}\n",
+                    head.join("\n"),
+                    samples.len(),
+                    fnv1a(samples)
+                )
+            };
+            (name.clone(), block)
+        })
+        .collect()
+}
+
+/// The pin: every family block of the populated per-site and cluster
+/// exposition — HELP text, TYPE, and each sample line — is byte-exact
+/// against `tests/golden/exposition.txt`. Blocks are matched by family
+/// name, so the order of families in the exposition is free, and a
+/// family added later needs no golden edit (its name is guarded by
+/// `family_list_matches_design_doc`, its lines by the shared writers).
+#[test]
+fn exposition_blocks_match_the_golden() {
+    let text = pinned_exposition();
+    let actual = condensed(&family_blocks(&text));
+    let golden = include_str!("golden/exposition.txt");
+    let mut pinned = 0;
+    for block in golden.split("\n\n").filter(|b| !b.trim().is_empty()) {
+        let block = format!("{}\n", block.trim_end());
+        let name = block
+            .strip_prefix("# HELP ")
+            .and_then(|r| r.split_whitespace().next())
+            .expect("golden block starts with a HELP line");
+        let got = actual
+            .get(name)
+            .unwrap_or_else(|| panic!("pinned family {name} is no longer emitted"));
+        assert_eq!(
+            *got,
+            block,
+            "family block {name} changed; its lines are now:\n{}",
+            family_blocks(&text)[name].join("\n")
+        );
+        pinned += 1;
+    }
+    assert!(pinned >= 66, "golden lost blocks: only {pinned} pinned");
 }
