@@ -217,14 +217,6 @@ impl SiteConfig {
     }
 }
 
-/// True when `SDVM_DEBUG` was set in the environment at first use —
-/// consulted once and cached, never re-read (the env lookup used to sit
-/// on every failed execution).
-pub fn debug_enabled() -> bool {
-    static DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var_os("SDVM_DEBUG").is_some())
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // tests may unwrap
 mod tests {

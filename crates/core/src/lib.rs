@@ -49,4 +49,4 @@ pub use telemetry::{
     ClusterTotals, FlightRecorder, HistogramSnapshot, SiteMetrics,
 };
 pub use thread::{AppRegistry, ThreadFn, ThreadSpec};
-pub use trace::{BusEvent, Category, TraceEvent, TraceLog};
+pub use trace::{BusEvent, Category, DropReason, TraceEvent, TraceLog};

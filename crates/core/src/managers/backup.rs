@@ -141,17 +141,6 @@ impl BackupManager {
 /// Revive everything this site holds in backup for `dead`.
 pub(crate) fn recover(site: &SiteInner, dead: SiteId) {
     let (frames, objects) = site.backup.take_for(dead);
-    if crate::config::debug_enabled() {
-        for (w, applied) in &frames {
-            eprintln!(
-                "[dbg site{}] reviving {} thread={} applied_slots={:?}",
-                site.my_id().0,
-                w.id,
-                w.thread,
-                applied.iter().map(|(s, _)| *s).collect::<Vec<_>>()
-            );
-        }
-    }
     let (nf, no) = (frames.len(), objects.len());
     if nf == 0 && no == 0 {
         return;

@@ -10,7 +10,7 @@
 
 use crate::coord::VivaldiState;
 use crate::site::{SiteInner, Task};
-use crate::trace::TraceEvent;
+use crate::trace::{DropReason, TraceEvent};
 use parking_lot::Mutex;
 use sdvm_types::{
     IdAllocStrategy, LoadReport, ManagerId, PhysicalAddr, SdvmError, SdvmResult, SiteDescriptor,
@@ -999,7 +999,7 @@ impl ClusterManager {
         // piggyback the digest on the same heartbeat fan-out. Receivers
         // store digests latest-wins, so *any* site can serve cluster
         // totals without a central scrape.
-        let summary = crate::telemetry::digest_of(&site.metrics.snapshot());
+        let summary = crate::telemetry::digest_of(&site.metrics);
         site.rollup.record(me, summary.clone());
         // Piggyback our Vivaldi coordinate (wire v9) on every heartbeat:
         // receivers learn where we sit without any extra traffic.
@@ -1409,30 +1409,31 @@ impl ClusterManager {
                 // Unsolicited grant: the contingent handed to us during
                 // our own sign-on (paper: id servers "are given a
                 // contingent of free ids during their own sign on").
-                if crate::config::debug_enabled() {
-                    eprintln!(
-                        "[dbg site{}] got IdBlockGrant start={start} len={len}",
-                        site.my_id().0
-                    );
-                }
-                if len > 0 && matches!(self.strategy, IdAllocStrategy::Contingents { .. }) {
-                    let mut st = self.state.lock();
-                    // The grant may race our own sign-on completion;
-                    // become a range holder either way.
-                    if !matches!(st.alloc, AllocState::Ranges { .. }) {
-                        st.alloc = AllocState::Ranges { ranges: vec![] };
+                match self.strategy {
+                    IdAllocStrategy::Contingents { .. } if len > 0 => {
+                        let mut st = self.state.lock();
+                        // The grant may race our own sign-on completion;
+                        // become a range holder either way.
+                        if !matches!(st.alloc, AllocState::Ranges { .. }) {
+                            st.alloc = AllocState::Ranges { ranges: vec![] };
+                        }
+                        if let AllocState::Ranges { ranges } = &mut st.alloc {
+                            ranges.push((start, start + len - 1));
+                        }
                     }
-                    if let AllocState::Ranges { ranges } = &mut st.alloc {
-                        ranges.push((start, start + len - 1));
+                    IdAllocStrategy::CentralServer if len > 0 => {
+                        // A draining central id server hands its counter
+                        // to the successor (us): without this, no site
+                        // could ever join again once the first site
+                        // departs.
+                        let mut st = self.state.lock();
+                        st.alloc = AllocState::Central { next: start };
+                        st.id_server = site.my_id();
                     }
-                }
-                if len > 0 && matches!(self.strategy, IdAllocStrategy::CentralServer) {
-                    // A draining central id server hands its counter to
-                    // the successor (us): without this, no site could
-                    // ever join again once the first site departs.
-                    let mut st = self.state.lock();
-                    st.alloc = AllocState::Central { next: start };
-                    st.id_server = site.my_id();
+                    _ => site.dropped(
+                        DropReason::IdGrantIgnored,
+                        format!("id block start {start} len {len}"),
+                    ),
                 }
             }
             Payload::SiteCrashed {
@@ -1697,12 +1698,6 @@ pub(crate) fn handle_signon_blocking(site: &SiteInner, msg: SdMessage, reply_add
         }
     };
     if let Some((start, end)) = grant {
-        if crate::config::debug_enabled() {
-            eprintln!(
-                "[dbg site{}] granting block {start}..={end} to {assigned}",
-                site.my_id().0
-            );
-        }
         let _ = site.send_payload(
             assigned,
             ManagerId::Cluster,

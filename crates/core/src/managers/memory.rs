@@ -35,7 +35,7 @@ use crate::frame::Microframe;
 use crate::managers::backup;
 use crate::site::{SiteInner, Task};
 use crate::telemetry::trace_id_of;
-use crate::trace::TraceEvent;
+use crate::trace::{DropReason, TraceEvent};
 use parking_lot::{Mutex, MutexGuard};
 use sdvm_types::{GlobalAddress, ManagerId, ProgramId, SdvmError, SdvmResult, SiteId, Value};
 use sdvm_wire::{Payload, SdMessage, TraceContext, WireFrame, WireMemObject};
@@ -627,12 +627,10 @@ impl MemoryManager {
                 Err(e) => return Err(e),
             }
         }
-        if crate::config::debug_enabled() {
-            eprintln!(
-                "[dbg site{}] apply_or_forward gave up: target={target} slot={slot} err={last_err:?}",
-                site.my_id().0
-            );
-        }
+        site.dropped(
+            DropReason::ForwardGaveUp,
+            format!("result for {target} slot {slot}: {last_err:?}"),
+        );
         match last_err {
             Some(e) => Err(e),
             None => Ok(()), // consistently unknown: consumed duplicate
@@ -686,21 +684,17 @@ impl MemoryManager {
             // Directory says we own it but it is not in `frames`: it sits
             // in the scheduling queue already executable, or was consumed
             // concurrently. Either way this result is stale — drop.
-            if crate::config::debug_enabled() {
-                eprintln!(
-                    "[dbg site{}] drop owner==me target={target} slot={slot}",
-                    site.my_id().0
-                );
-            }
+            site.dropped(
+                DropReason::StaleOwnerSelf,
+                format!("result for {target} slot {slot}"),
+            );
             return Ok(true);
         }
         if !owner.is_valid() {
-            if crate::config::debug_enabled() {
-                eprintln!(
-                    "[dbg site{}] drop tombstone target={target} slot={slot}",
-                    site.my_id().0
-                );
-            }
+            site.dropped(
+                DropReason::Tombstone,
+                format!("result for {target} slot {slot}"),
+            );
             return Ok(true); // consumed tombstone
         }
         backup::mirror_apply(site, owner, target, slot, value.clone());

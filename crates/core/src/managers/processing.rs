@@ -16,7 +16,6 @@
 //! store instead of looping forever.
 
 use crate::api::ExecCtx;
-use crate::config::debug_enabled;
 use crate::site::SiteInner;
 use crate::trace::TraceEvent;
 use sdvm_types::{ProgramId, SdvmError};
@@ -143,12 +142,6 @@ pub fn worker_loop(site: &Arc<SiteInner>) {
             continue;
         }
         if let Err(ref e) = result {
-            if debug_enabled() {
-                eprintln!(
-                    "[dbg site{}] microthread {thread} frame {id} failed: {e}",
-                    site.my_id().0
-                );
-            }
             if is_infrastructure(e) && site.is_running() && !site.is_draining() {
                 // A peer died under us mid-execution. Re-execution
                 // re-sends every result; duplicates of sends that

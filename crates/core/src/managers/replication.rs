@@ -32,7 +32,7 @@
 
 use crate::frame::{Microframe, ReplicaRun};
 use crate::site::{SiteInner, Task};
-use crate::trace::TraceEvent;
+use crate::trace::{DropReason, TraceEvent};
 use parking_lot::Mutex;
 use sdvm_types::{GlobalAddress, ManagerId, ProgramId, SdvmError, SiteId};
 use sdvm_wire::{Payload, WireFrame, WireSend};
@@ -418,14 +418,10 @@ impl ReplicationManager {
                             .memory
                             .apply_or_forward(site, s.target, s.slot, s.value, 4)
                         {
-                            if crate::config::debug_enabled() {
-                                eprintln!(
-                                    "[dbg site{}] replication: winner send {} slot {} failed: {e}",
-                                    site.my_id().0,
-                                    s.target,
-                                    s.slot
-                                );
-                            }
+                            site.dropped(
+                                DropReason::WinnerSendFailed,
+                                format!("result for {} slot {}: {e}", s.target, s.slot),
+                            );
                         }
                     }
                     site.memory.consume_frame(site, id);

@@ -23,7 +23,7 @@ use crate::managers::site_mgr::SiteManager;
 use crate::pending::PendingMap;
 use crate::telemetry::{manager_index, Metrics};
 use crate::thread::AppRegistry;
-use crate::trace::{Category, TraceEvent, TraceLog};
+use crate::trace::{Category, DropReason, TraceEvent, TraceLog};
 use parking_lot::RwLock;
 use sdvm_net::Transport;
 use sdvm_types::{ManagerId, PhysicalAddr, SdvmError, SdvmResult, SiteDescriptor, SiteId};
@@ -250,6 +250,16 @@ impl SiteInner {
         if let Some(t) = &self.trace {
             t.emit(ev);
         }
+    }
+
+    /// Count and trace a silent discard (`sdvm_dropped_total`,
+    /// [`TraceEvent::Dropped`]).
+    pub(crate) fn dropped(&self, reason: DropReason, detail: String) {
+        self.emit(TraceEvent::Dropped {
+            site: self.my_id(),
+            reason,
+            detail,
+        });
     }
 
     /// Flight-recorder trigger check: classify the event and, if it is

@@ -6,7 +6,9 @@
 //! `ui.perfetto.dev` and `chrome://tracing` load directly, and the text
 //! exposition follows the Prometheus 0.0.4 format.
 
-use crate::telemetry::metrics::{HistogramSnapshot, SiteMetrics, HISTOGRAM_BUCKETS};
+use crate::telemetry::metrics::{
+    HistogramSnapshot, SiteMetrics, Value, FAMILIES, HISTOGRAM_BUCKETS,
+};
 use crate::trace::{BusEvent, TraceEvent};
 use sdvm_types::{GlobalAddress, SiteId};
 use std::collections::HashMap;
@@ -275,396 +277,54 @@ pub fn perfetto_trace_json(events: &[BusEvent]) -> String {
     out
 }
 
-fn write_counter(out: &mut String, name: &str, help: &str, values: &[(SiteId, u64)]) {
+/// Write a family's `# HELP` and `# TYPE` lines.
+pub(crate) fn write_header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    for (site, v) in values {
-        let _ = writeln!(out, "{name}{{site=\"{}\"}} {v}", site.0);
-    }
+    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-fn write_gauge(out: &mut String, name: &str, help: &str, values: &[(SiteId, u64)]) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (site, v) in values {
-        let _ = writeln!(out, "{name}{{site=\"{}\"}} {v}", site.0);
-    }
-}
-
-fn write_histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    series: &[(String, &HistogramSnapshot)],
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (labels, h) in series {
-        let mut cumulative = 0u64;
-        for i in 0..HISTOGRAM_BUCKETS {
-            cumulative += h.buckets.get(i).copied().unwrap_or(0);
-            let le = HistogramSnapshot::le_label(i);
-            let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
+/// Write the sample lines of one series: a scalar is one line, a
+/// histogram its cumulative buckets then `_sum` and `_count`, and a
+/// labelled value recurses once per label value with the pair appended
+/// to `labels`.
+fn write_series(out: &mut String, name: &str, labels: &str, value: &Value<'_>) {
+    match value {
+        Value::Scalar(v) => {
+            let _ = writeln!(out, "{name}{{{labels}}} {v}");
         }
-        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum_us);
-        let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count);
+        Value::Histogram(h) => {
+            let mut cumulative = 0u64;
+            for i in 0..HISTOGRAM_BUCKETS {
+                cumulative += h.buckets.get(i).copied().unwrap_or(0);
+                let le = HistogramSnapshot::le_label(i);
+                let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
+            }
+            let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum_us);
+            let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count);
+        }
+        Value::Labelled(key, series) => {
+            for (label, v) in series {
+                let labels = format!("{labels},{key}=\"{}\"", prom_label_escape(label));
+                write_series(out, name, &labels, v);
+            }
+        }
     }
 }
 
 /// Render per-site metric snapshots in the Prometheus text exposition
-/// format. Histogram buckets are cumulative with power-of-two `le`
-/// boundaries (microseconds).
+/// format: one block per [`FAMILIES`] entry, one series per site.
+/// Histogram buckets are cumulative with power-of-two `le` boundaries
+/// (microseconds).
 pub fn prometheus_text(sites: &[(SiteId, SiteMetrics)]) -> String {
     let mut out = String::new();
-    let c = |f: fn(&SiteMetrics) -> u64| -> Vec<(SiteId, u64)> {
-        sites.iter().map(|(s, m)| (*s, f(m))).collect()
-    };
-    let h = |f: fn(&SiteMetrics) -> &HistogramSnapshot| -> Vec<(String, &HistogramSnapshot)> {
-        sites
-            .iter()
-            .map(|(s, m)| (format!("site=\"{}\"", s.0), f(m)))
-            .collect()
-    };
-
-    write_counter(
-        &mut out,
-        "sdvm_messages_sent_total",
-        "Messages leaving the site's message manager.",
-        &c(|m| m.messages_sent),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_messages_received_total",
-        "Messages dispatched on the site.",
-        &c(|m| m.messages_received),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_frames_executed_total",
-        "Microframes executed.",
-        &c(|m| m.frames_executed),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_help_requests_total",
-        "Help requests sent.",
-        &c(|m| m.help_requests),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_help_granted_total",
-        "Help requests answered with a frame.",
-        &c(|m| m.help_granted),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_help_denied_total",
-        "Help requests answered with can't-help.",
-        &c(|m| m.help_denied),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_suspicions_raised_total",
-        "Failure-detector suspicions raised.",
-        &c(|m| m.suspicions_raised),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_suspicions_refuted_total",
-        "Failure-detector suspicions withdrawn.",
-        &c(|m| m.suspicions_refuted),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_zombies_fenced_total",
-        "Messages fenced for carrying a declared-dead incarnation.",
-        &c(|m| m.zombies_fenced),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_detector_crashes_declared_total",
-        "Peers declared crashed.",
-        &c(|m| m.crashes_declared),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_frames_retried_total",
-        "Microframes re-enqueued with backoff after an infrastructure error.",
-        &c(|m| m.frames_retried),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_frames_quarantined_total",
-        "Microframes moved to the dead-letter store.",
-        &c(|m| m.frames_quarantined),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_handler_panics_total",
-        "Handler panics caught by the execution engine.",
-        &c(|m| m.handler_panics),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_workers_respawned_total",
-        "Worker slot threads respawned by the supervisor.",
-        &c(|m| m.workers_respawned),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_programs_stuck_total",
-        "Programs the watchdog declared stuck.",
-        &c(|m| m.programs_stuck),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_mem_replica_hits_total",
-        "Non-migrating reads served from a fresh local replica.",
-        &c(|m| m.mem_replica_hits),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_mem_replica_misses_total",
-        "Non-migrating reads that found no usable local copy and went remote.",
-        &c(|m| m.mem_replica_misses),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_mem_invalidations_total",
-        "Cached replicas dropped on an owner's invalidation.",
-        &c(|m| m.mem_invalidations),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_replicas_dispatched_total",
-        "Replica copies dispatched by the site's replication coordinator.",
-        &c(|m| m.replicas_dispatched),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_result_divergence_total",
-        "Frames whose replicas returned divergent results.",
-        &c(|m| m.result_divergence),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_hedges_fired_total",
-        "Hedge duplicates fired after a frame's delay elapsed unanswered.",
-        &c(|m| m.hedges_fired),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_hedge_wins_total",
-        "Hedged frames settled by a fired duplicate, not the primary.",
-        &c(|m| m.hedge_wins),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_outbound_backpressure_stalls_total",
-        "Sends that hit a full outbound queue and had to wait.",
-        &c(|m| m.backpressure_stalls),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_outbound_queue_depth",
-        "Frames waiting in the transport's outbound queues.",
-        &c(|m| m.outbound_queue_depth),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_net_peers_connected",
-        "Peers the transport holds a live connection to.",
-        &c(|m| m.net_peers_connected),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_net_driver_threads",
-        "Transport driver threads (pollers + listener).",
-        &c(|m| m.net_driver_threads),
-    );
-    write_gauge(
-        &mut out,
-        "sdvm_coord_error_ms",
-        "Vivaldi coordinate fit error (EWMA of absolute RTT prediction error, ms).",
-        &c(|m| m.coord_error_ms),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_started_total",
-        "Graceful drains started on the site.",
-        &c(|m| m.drain_started),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_completed_total",
-        "Graceful drains that ran to completion.",
-        &c(|m| m.drain_completed),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_objects_relocated_total",
-        "Memory objects relocated to peers during drains.",
-        &c(|m| m.drain_objects_relocated),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_frames_relocated_total",
-        "Waiting microframes relocated to peers during drains.",
-        &c(|m| m.drain_frames_relocated),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_drain_dead_letters_swept_total",
-        "Dead letters swept to the successor during drains.",
-        &c(|m| m.drain_dead_letters_swept),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_checkpoint_incremental_cuts_total",
-        "Incremental (pause-free) checkpoint cuts taken.",
-        &c(|m| m.checkpoint_incremental_cuts),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_checkpoint_incremental_shards_captured_total",
-        "Shards re-captured because dirty (or never cut) since the previous incremental cut.",
-        &c(|m| m.checkpoint_incremental_shards_captured),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_checkpoint_incremental_shards_reused_total",
-        "Shards whose cached incremental cut was reused unchanged.",
-        &c(|m| m.checkpoint_incremental_shards_reused),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_bus_dropped_total",
-        "Trace-bus events overwritten unread in the bounded ring.",
-        &c(|m| m.bus_dropped),
-    );
-    write_counter(
-        &mut out,
-        "sdvm_bus_tap_dropped_total",
-        "Trace-bus events dropped at full live-tap subscriber channels.",
-        &c(|m| m.bus_tap_dropped),
-    );
-
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_us",
-        "Whole microframe career, created to executed (microseconds).",
-        &h(|m| &m.career_total_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_wait_us",
-        "Dataflow wait, created to executable (microseconds).",
-        &h(|m| &m.career_wait_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_fetch_us",
-        "Code fetch, executable to ready (microseconds).",
-        &h(|m| &m.career_fetch_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_frame_career_exec_us",
-        "Queue plus run, ready to executed (microseconds).",
-        &h(|m| &m.career_exec_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_seal_us",
-        "Security-manager seal time (microseconds).",
-        &h(|m| &m.seal_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_open_us",
-        "Security-manager open time (microseconds).",
-        &h(|m| &m.open_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_help_rtt_us",
-        "Help-request round trip (microseconds).",
-        &h(|m| &m.help_rtt_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_compile_us",
-        "Simulated on-the-fly compile duration (microseconds).",
-        &h(|m| &m.compile_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_detector_detection_latency_us",
-        "Failure-detector detection latency, last-heard to declared (microseconds).",
-        &h(|m| &m.detection_latency_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_retry_delay_us",
-        "Backoff delay applied before each frame retry (microseconds).",
-        &h(|m| &m.retry_delay_us),
-    );
-
-    write_histogram(
-        &mut out,
-        "sdvm_drain_duration_us",
-        "Wall-clock duration of completed drains (microseconds).",
-        &h(|m| &m.drain_duration_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_checkpoint_incremental_block_us",
-        "Longest single-shard lock hold per incremental cut, the worst-case worker block (microseconds).",
-        &h(|m| &m.checkpoint_incremental_block_us),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_mem_chase_hops",
-        "Owner hops chased per remote read/write (count, log2 buckets).",
-        &h(|m| &m.mem_chase_hops),
-    );
-    write_histogram(
-        &mut out,
-        "sdvm_hedge_delay_us",
-        "Pending time of hedged frames when their duplicate fired (microseconds).",
-        &h(|m| &m.hedge_delay_us),
-    );
-
-    // Per-manager dispatch histograms carry an extra label.
-    let mut dispatch: Vec<(String, &HistogramSnapshot)> = Vec::new();
-    for (site, m) in sites {
-        for (mgr, snap) in &m.dispatch_us {
-            dispatch.push((
-                format!("site=\"{}\",manager=\"{}\"", site.0, prom_label_escape(mgr)),
-                snap,
-            ));
-        }
-    }
-    write_histogram(
-        &mut out,
-        "sdvm_dispatch_us",
-        "Per-manager inbound dispatch time (microseconds).",
-        &dispatch,
-    );
-
-    // Per-shard attraction-memory contention gauge: one series per
-    // (site, shard).
-    let _ = writeln!(
-        out,
-        "# HELP sdvm_mem_shard_contention Attraction-memory shard lock contention (blocking lock acquisitions)."
-    );
-    let _ = writeln!(out, "# TYPE sdvm_mem_shard_contention gauge");
-    for (site, m) in sites {
-        for (shard, v) in m.mem_shard_contention.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sdvm_mem_shard_contention{{site=\"{}\",shard=\"{shard}\"}} {v}",
-                site.0
+    for f in FAMILIES {
+        write_header(&mut out, f.name, f.help, f.kind);
+        for (site, m) in sites {
+            write_series(
+                &mut out,
+                f.name,
+                &format!("site=\"{}\"", site.0),
+                &(f.value)(m),
             );
         }
     }

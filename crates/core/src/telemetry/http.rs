@@ -178,7 +178,7 @@ fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
 fn metrics_body(inner: &Arc<SiteInner>) -> (u16, String) {
     let status = inner.site_mgr.status(inner);
     if status.id.is_valid() {
-        inner.rollup.record(status.id, digest_of(&status.metrics));
+        inner.rollup.record(status.id, digest_of(&inner.metrics));
     }
     let mut body = prometheus_text(&[(status.id, status.metrics)]);
     body.push_str(&cluster_prometheus_text(&inner.rollup.totals()));

@@ -7,9 +7,10 @@
 //! per career *transition* (four times per frame lifetime), not per
 //! message.
 
-use crate::trace::TraceEvent;
+use crate::trace::{DropReason, TraceEvent};
 use parking_lot::Mutex;
 use sdvm_types::{GlobalAddress, ManagerId};
+use sdvm_wire::WireMetricsSummary;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -183,6 +184,20 @@ impl HistogramSnapshot {
         // Unreachable when count equals the bucket sum; be conservative.
         0.0
     }
+
+    /// Fold one site's wire digest of this histogram (its sum and raw
+    /// per-bucket counts) into `self`. Sums saturate, and an oversized
+    /// bucket vector clamps into the overflow bucket, so a hostile or
+    /// future sender cannot make us index out of range.
+    pub fn absorb(&mut self, sum_us: u64, buckets: &[u64]) {
+        self.sum_us = self.sum_us.saturating_add(sum_us);
+        self.buckets.resize(HISTOGRAM_BUCKETS, 0);
+        for (i, v) in buckets.iter().enumerate() {
+            let b = &mut self.buckets[i.min(HISTOGRAM_BUCKETS - 1)];
+            *b = b.saturating_add(*v);
+        }
+        self.count = self.buckets.iter().fold(0, |n, b| n.saturating_add(*b));
+    }
 }
 
 /// Career timestamps of one frame still in flight (µs since the
@@ -198,152 +213,6 @@ struct CareerMarks {
 /// are not pruned individually (no ordering kept) — the map is cleared,
 /// trading a window of lost career samples for bounded memory.
 const CAREER_MAP_CAP: usize = 100_000;
-
-/// Per-site metrics registry. One instance hangs off every `SiteInner`;
-/// event-derived metrics update through [`Metrics::observe`] (called on
-/// every trace-point, whether or not a `TraceLog` is attached), and hot
-/// paths with real timing data (seal, open, dispatch, help RTT, compile)
-/// record directly into the histograms.
-pub struct Metrics {
-    epoch: Instant,
-
-    // ---- counters (event-derived) ----
-    /// Messages leaving this site's message manager.
-    pub messages_sent: Counter,
-    /// Messages dispatched on this site.
-    pub messages_received: Counter,
-    /// Help requests sent.
-    pub help_requests: Counter,
-    /// Help requests this site answered with a frame.
-    pub help_granted: Counter,
-    /// Help requests this site answered with can't-help.
-    pub help_denied: Counter,
-    /// Suspicions this site raised (failure detector phase 1).
-    pub suspicions_raised: Counter,
-    /// Suspicions this site withdrew after fresh liveness evidence.
-    pub suspicions_refuted: Counter,
-    /// Messages fenced because they carried a declared-dead incarnation.
-    pub zombies_fenced: Counter,
-    /// Peers this site declared crashed.
-    pub crashes_declared: Counter,
-    /// Frames this site executed.
-    pub frames_executed: Counter,
-
-    // ---- gauges ----
-    /// Frames waiting in the transport's outbound queues (sampled at
-    /// status time).
-    pub outbound_queue_depth: Gauge,
-    /// Peers the transport currently holds a live connection to
-    /// (sampled at status time).
-    pub net_peers_connected: Gauge,
-    /// Threads the transport driver runs, pollers + listener — constant
-    /// for an event-driven transport no matter how many peers connect
-    /// (sampled at status time).
-    pub net_driver_threads: Gauge,
-    /// Vivaldi coordinate fit error: EWMA of the absolute RTT
-    /// prediction error, rounded to whole milliseconds (sampled at
-    /// status time).
-    pub coord_error_ms: Gauge,
-
-    // ---- histograms (µs) ----
-    /// Whole career: created → executed.
-    pub career_total_us: Histogram,
-    /// Dataflow wait: created → executable (last parameter arrives).
-    pub career_wait_us: Histogram,
-    /// Code fetch: executable → ready.
-    pub career_fetch_us: Histogram,
-    /// Queue + run: ready → executed.
-    pub career_exec_us: Histogram,
-    /// Security-manager seal (encode + encrypt + frame) time.
-    pub seal_us: Histogram,
-    /// Security-manager open (decrypt + verify) time.
-    pub open_us: Histogram,
-    /// Per-manager inbound dispatch (handler) time, indexed by
-    /// [`manager_index`].
-    pub dispatch_us: Vec<Histogram>,
-    /// Help-request round trip (request sent → reply or timeout).
-    pub help_rtt_us: Histogram,
-    /// Simulated on-the-fly compile duration.
-    pub compile_us: Histogram,
-    /// Failure-detector detection latency: last-heard → declared-crashed.
-    pub detection_latency_us: Histogram,
-    /// Backoff delay applied before each frame retry.
-    pub retry_delay_us: Histogram,
-
-    // ---- engine counters (cold: poison/repair events only) ----
-    // Declared after the hot histograms so the seed's field offsets —
-    // and with them the message-path cache lines — stay unchanged.
-    /// Frames re-enqueued with backoff after an infrastructure error.
-    pub frames_retried: Counter,
-    /// Frames moved to the dead-letter store (retry budget exhausted,
-    /// handler panic, or application error).
-    pub frames_quarantined: Counter,
-    /// Handler panics caught by the execution engine.
-    pub handler_panics: Counter,
-    /// Worker slot threads respawned by the supervisor.
-    pub workers_respawned: Counter,
-    /// Programs the watchdog declared stuck.
-    pub programs_stuck: Counter,
-
-    // ---- attraction-memory coherence (cold: replica protocol only) ----
-    /// Non-migrating reads served from a fresh local replica.
-    pub mem_replica_hits: Counter,
-    /// Non-migrating reads that found no usable local copy and went
-    /// remote.
-    pub mem_replica_misses: Counter,
-    /// Cached replicas dropped on an owner's invalidation (counted at
-    /// the holder, on actual drop).
-    pub mem_invalidations: Counter,
-    /// Owner hops a remote read/write chased before succeeding (count,
-    /// not µs — the log2 buckets still apply).
-    pub mem_chase_hops: Histogram,
-
-    // ---- replicated / hedged execution (cold: coordinator only) ----
-    // Incremented directly by the replication manager (like
-    // `handler_panics`), not event-derived — the emitting site is
-    // always the coordinator itself.
-    /// Replica copies dispatched by this site's coordinator (all
-    /// rounds, vote and hedge).
-    pub replicas_dispatched: Counter,
-    /// Frames whose replicas returned divergent results (counted once
-    /// per frame, however many ballots disagree).
-    pub result_divergence: Counter,
-    /// Hedge duplicates fired after a frame's delay elapsed unanswered.
-    pub hedges_fired: Counter,
-    /// Hedged frames settled by a fired duplicate, not the primary.
-    pub hedge_wins: Counter,
-    /// How long a hedged frame had been pending when a duplicate fired.
-    pub hedge_delay_us: Histogram,
-
-    // ---- planned departure & online checkpoint (cold: ops only) ----
-    /// Drains started on this site (incremented when the `SiteDraining`
-    /// gossip goes out, before any relocation work).
-    pub drain_started: Counter,
-    /// Drains that ran to completion (objects relocated, duties handed
-    /// off, outbound queues flushed).
-    pub drain_completed: Counter,
-    /// Memory objects relocated to peers during drains.
-    pub drain_objects_relocated: Counter,
-    /// Waiting (non-executable) frames relocated to peers during drains.
-    pub drain_frames_relocated: Counter,
-    /// Dead letters swept to the successor during drains.
-    pub drain_dead_letters_swept: Counter,
-    /// Wall-clock duration of each completed drain.
-    pub drain_duration_us: Histogram,
-    /// Incremental (pause-free) checkpoint cuts taken on this site.
-    pub checkpoint_incremental_cuts: Counter,
-    /// Shards re-captured because they were dirty (or never cut) since
-    /// the previous incremental cut.
-    pub checkpoint_incremental_shards_captured: Counter,
-    /// Shards whose cached cut was reused unchanged.
-    pub checkpoint_incremental_shards_reused: Counter,
-    /// Longest single-shard lock hold per incremental cut — the worst
-    /// case a worker could be blocked by the copy-on-write capture.
-    pub checkpoint_incremental_block_us: Histogram,
-
-    /// In-flight career marks, keyed by frame address.
-    careers: Mutex<HashMap<GlobalAddress, CareerMarks>>,
-}
 
 /// Managers whose inbound dispatch time is tracked, in
 /// [`Metrics::dispatch_us`] index order.
@@ -363,63 +232,336 @@ pub fn manager_index(m: ManagerId) -> Option<usize> {
     DISPATCH_MANAGERS.iter().position(|d| *d == m)
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            epoch: Instant::now(),
-            messages_sent: Counter::default(),
-            messages_received: Counter::default(),
-            help_requests: Counter::default(),
-            help_granted: Counter::default(),
-            help_denied: Counter::default(),
-            suspicions_raised: Counter::default(),
-            suspicions_refuted: Counter::default(),
-            zombies_fenced: Counter::default(),
-            crashes_declared: Counter::default(),
-            frames_executed: Counter::default(),
-            frames_retried: Counter::default(),
-            frames_quarantined: Counter::default(),
-            handler_panics: Counter::default(),
-            workers_respawned: Counter::default(),
-            programs_stuck: Counter::default(),
-            mem_replica_hits: Counter::default(),
-            mem_replica_misses: Counter::default(),
-            mem_invalidations: Counter::default(),
-            mem_chase_hops: Histogram::default(),
-            replicas_dispatched: Counter::default(),
-            result_divergence: Counter::default(),
-            hedges_fired: Counter::default(),
-            hedge_wins: Counter::default(),
-            hedge_delay_us: Histogram::default(),
-            drain_started: Counter::default(),
-            drain_completed: Counter::default(),
-            drain_objects_relocated: Counter::default(),
-            drain_frames_relocated: Counter::default(),
-            drain_dead_letters_swept: Counter::default(),
-            drain_duration_us: Histogram::default(),
-            checkpoint_incremental_cuts: Counter::default(),
-            checkpoint_incremental_shards_captured: Counter::default(),
-            checkpoint_incremental_shards_reused: Counter::default(),
-            checkpoint_incremental_block_us: Histogram::default(),
-            outbound_queue_depth: Gauge::default(),
-            net_peers_connected: Gauge::default(),
-            net_driver_threads: Gauge::default(),
-            coord_error_ms: Gauge::default(),
-            career_total_us: Histogram::default(),
-            career_wait_us: Histogram::default(),
-            career_fetch_us: Histogram::default(),
-            career_exec_us: Histogram::default(),
-            seal_us: Histogram::default(),
-            open_us: Histogram::default(),
-            dispatch_us: (0..DISPATCH_MANAGERS.len())
-                .map(|_| Histogram::default())
-                .collect(),
-            help_rtt_us: Histogram::default(),
-            compile_us: Histogram::default(),
-            detection_latency_us: Histogram::default(),
-            retry_delay_us: Histogram::default(),
-            careers: Mutex::new(HashMap::new()),
+/// One family's value in a [`SiteMetrics`] snapshot, in the shape the
+/// exposition writes it.
+pub enum Value<'a> {
+    /// A counter or gauge sample.
+    Scalar(u64),
+    /// A histogram's buckets, sum and count.
+    Histogram(&'a HistogramSnapshot),
+    /// One series per value of an extra label: the label's name, then
+    /// `(label value, series)` pairs.
+    Labelled(&'static str, Vec<(String, Value<'a>)>),
+}
+
+/// Descriptor of one metric family, generated from the registry table.
+pub struct Family {
+    /// Prometheus family name.
+    pub name: &'static str,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// `# TYPE`: `counter`, `gauge` or `histogram`.
+    pub kind: &'static str,
+    /// The family's value in a snapshot.
+    pub value: fn(&SiteMetrics) -> Value<'_>,
+    /// Set for the families that ride the heartbeat digest.
+    pub rollup: Option<Rollup>,
+}
+
+/// How a `rollup`-marked family travels in the heartbeat digest and
+/// appears in the cluster-wide exposition.
+pub struct Rollup {
+    /// Cluster family name (`sdvm_cluster_*`).
+    pub name: &'static str,
+    /// Cluster family `# HELP` text.
+    pub help: &'static str,
+    /// Histograms only: name and help of the quantile-gauge family
+    /// estimated from the merged buckets.
+    pub quantiles: Option<(&'static str, &'static str)>,
+    /// Copy the live value into a digest.
+    pub digest: fn(&Metrics, &mut WireMetricsSummary),
+    /// Fold one site's digest into cluster totals.
+    pub absorb: fn(&mut SiteMetrics, &WireMetricsSummary),
+}
+
+/// The registry table. One entry per family,
+/// `field: kind, "prometheus_name", "help text"[, rollup(..)];`,
+/// expands to [`Metrics`] (with `Default` and `snapshot()`),
+/// [`SiteMetrics`] and [`FAMILIES`]; the help text doubles as the
+/// field's doc comment. Adding a metric is one line here, its `inc()`
+/// site, and one line in DESIGN.md §5.1.
+///
+/// Kinds: `counter`, `gauge`, `histogram`, and the labelled families
+/// `by_manager` (a histogram per [`DISPATCH_MANAGERS`] entry),
+/// `by_reason` (a counter per [`DropReason`]) and `by_shard` (a gauge
+/// per attraction-memory shard).
+///
+/// `live` entries own storage in `Metrics`, laid out in table order;
+/// `sampled` entries exist only in the snapshot, where the site manager
+/// fills them at status time from the component that owns the number.
+///
+/// `rollup("cluster_name", "cluster help")` on a counter — or
+/// `rollup(name, help, quantile_name, quantile_help, sum_field,
+/// buckets_field)` on a histogram, naming its two
+/// [`WireMetricsSummary`] fields — puts the family into the heartbeat
+/// digest and the `sdvm_cluster_*` exposition.
+macro_rules! registry {
+    (@live counter) => { Counter };
+    (@live gauge) => { Gauge };
+    (@live histogram) => { Histogram };
+    (@live by_manager) => { Vec<Histogram> };
+    (@live by_reason) => { [Counter; DropReason::ALL.len()] };
+
+    (@fresh by_manager) => { DISPATCH_MANAGERS.iter().map(|_| Histogram::default()).collect() };
+    (@fresh $kind:ident) => { Default::default() };
+
+    (@read counter $cell:expr) => { $cell.get() };
+    (@read gauge $cell:expr) => { $cell.get() };
+    (@read histogram $cell:expr) => { $cell.snapshot() };
+    (@read by_manager $cell:expr) => {
+        DISPATCH_MANAGERS.iter().zip($cell.iter()).map(|(m, h)| (format!("{m:?}"), h.snapshot())).collect()
+    };
+    (@read by_reason $cell:expr) => {
+        DropReason::ALL.iter().zip($cell.iter()).map(|(r, c)| (format!("{r:?}"), c.get())).collect()
+    };
+
+    (@snap counter) => { u64 };
+    (@snap gauge) => { u64 };
+    (@snap histogram) => { HistogramSnapshot };
+    (@snap by_manager) => { Vec<(String, HistogramSnapshot)> };
+    (@snap by_reason) => { Vec<(String, u64)> };
+    (@snap by_shard) => { Vec<u64> };
+
+    (@type counter) => { "counter" };
+    (@type gauge) => { "gauge" };
+    (@type histogram) => { "histogram" };
+    (@type by_manager) => { "histogram" };
+    (@type by_reason) => { "counter" };
+    (@type by_shard) => { "gauge" };
+
+    (@value counter $v:expr) => { Value::Scalar($v) };
+    (@value gauge $v:expr) => { Value::Scalar($v) };
+    (@value histogram $v:expr) => { Value::Histogram(&$v) };
+    (@value by_manager $v:expr) => {
+        Value::Labelled("manager", $v.iter().map(|(l, h)| (l.clone(), Value::Histogram(h))).collect())
+    };
+    (@value by_reason $v:expr) => {
+        Value::Labelled("reason", $v.iter().map(|(l, n)| (l.clone(), Value::Scalar(*n))).collect())
+    };
+    (@value by_shard $v:expr) => {
+        Value::Labelled("shard", $v.iter().enumerate().map(|(i, n)| (i.to_string(), Value::Scalar(*n))).collect())
+    };
+
+    (@rollup $kind:ident $f:ident) => { None };
+    (@rollup counter $f:ident ($name:literal, $help:literal)) => {
+        Some(Rollup {
+            name: $name,
+            help: $help,
+            quantiles: None,
+            digest: |m, d| d.$f = m.$f.get(),
+            absorb: |t, d| t.$f = t.$f.saturating_add(d.$f),
+        })
+    };
+    (@rollup histogram $f:ident ($name:literal, $help:literal,
+        $qname:literal, $qhelp:literal, $sum:ident, $buckets:ident)) => {
+        Some(Rollup {
+            name: $name,
+            help: $help,
+            quantiles: Some(($qname, $qhelp)),
+            digest: |m, d| {
+                let s = m.$f.snapshot();
+                d.$sum = s.sum_us;
+                d.$buckets = s.buckets;
+            },
+            absorb: |t, d| t.$f.absorb(d.$sum, &d.$buckets),
+        })
+    };
+
+    (
+        live {$(
+            $(#[$doc:meta])*
+            $f:ident: $kind:ident, $name:literal, $help:literal $(, rollup $roll:tt)?;
+        )*}
+        sampled {$(
+            $(#[$sdoc:meta])*
+            $sf:ident: $skind:ident, $sname:literal, $shelp:literal;
+        )*}
+    ) => {
+        /// Per-site metrics registry. One instance hangs off every
+        /// `SiteInner`; event-derived metrics update through
+        /// [`Metrics::observe`] (called on every trace-point, whether or
+        /// not a `TraceLog` is attached), and hot paths with real timing
+        /// data (seal, open, dispatch, help RTT, compile) record directly
+        /// into the histograms.
+        pub struct Metrics {
+            epoch: Instant,
+            $(
+                #[doc = $help]
+                $(#[$doc])*
+                pub $f: registry!(@live $kind),
+            )*
+            /// In-flight career marks, keyed by frame address.
+            careers: Mutex<HashMap<GlobalAddress, CareerMarks>>,
         }
+
+        impl Default for Metrics {
+            fn default() -> Self {
+                Metrics {
+                    epoch: Instant::now(),
+                    $( $f: registry!(@fresh $kind), )*
+                    careers: Mutex::new(HashMap::new()),
+                }
+            }
+        }
+
+        impl Metrics {
+            /// Typed point-in-time snapshot of every live metric; the
+            /// sampled ones are left at zero for the site manager.
+            pub fn snapshot(&self) -> SiteMetrics {
+                SiteMetrics {
+                    $( $f: registry!(@read $kind self.$f), )*
+                    $( $sf: Default::default(), )*
+                }
+            }
+        }
+
+        /// A typed point-in-time snapshot of one site's metrics (the
+        /// metrics half of `SiteStatus`).
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct SiteMetrics {
+            $(
+                #[doc = $help]
+                $(#[$doc])*
+                pub $f: registry!(@snap $kind),
+            )*
+            $(
+                #[doc = $shelp]
+                $(#[$sdoc])*
+                pub $sf: registry!(@snap $skind),
+            )*
+        }
+
+        /// Every per-site family, in table order: what
+        /// `prometheus_text` renders and the cluster rollup selects from.
+        pub static FAMILIES: &[Family] = &[
+            $( Family {
+                name: $name,
+                help: $help,
+                kind: registry!(@type $kind),
+                value: |m| registry!(@value $kind m.$f),
+                rollup: registry!(@rollup $kind $f $($roll)?),
+            }, )*
+            $( Family {
+                name: $sname,
+                help: $shelp,
+                kind: registry!(@type $skind),
+                value: |m| registry!(@value $skind m.$sf),
+                rollup: None,
+            }, )*
+        ];
+    };
+}
+
+registry! {
+    live {
+        // ---- counters (event-derived) ----
+        messages_sent: counter, "sdvm_messages_sent_total", "Messages leaving the site's message manager.",
+            rollup("sdvm_cluster_messages_sent_total", "SDMessages sent, summed across the cluster.");
+        messages_received: counter, "sdvm_messages_received_total", "Messages dispatched on the site.",
+            rollup("sdvm_cluster_messages_received_total", "SDMessages received, summed across the cluster.");
+        help_requests: counter, "sdvm_help_requests_total", "Help requests sent.",
+            rollup("sdvm_cluster_help_requests_total", "Help requests sent, summed across the cluster.");
+        help_granted: counter, "sdvm_help_granted_total", "Help requests answered with a frame.",
+            rollup("sdvm_cluster_help_granted_total", "Help requests granted, summed across the cluster.");
+        help_denied: counter, "sdvm_help_denied_total", "Help requests answered with can't-help.";
+        suspicions_raised: counter, "sdvm_detector_suspicions_raised_total", "Failure-detector suspicions raised.";
+        /// Withdrawn after fresh liveness evidence.
+        suspicions_refuted: counter, "sdvm_detector_suspicions_refuted_total", "Failure-detector suspicions withdrawn.";
+        zombies_fenced: counter, "sdvm_detector_zombies_fenced_total", "Messages fenced for carrying a declared-dead incarnation.";
+        crashes_declared: counter, "sdvm_detector_crashes_declared_total", "Peers declared crashed.",
+            rollup("sdvm_cluster_crashes_declared_total", "Crash verdicts declared, summed across the cluster.");
+        frames_executed: counter, "sdvm_frames_executed_total", "Microframes executed.",
+            rollup("sdvm_cluster_frames_executed_total", "Microframes executed, summed across the cluster.");
+
+        // ---- gauges (set by the site manager at status time) ----
+        outbound_queue_depth: gauge, "sdvm_outbound_queue_depth", "Frames waiting in the transport's outbound queues.";
+        net_peers_connected: gauge, "sdvm_net_peers_connected", "Peers the transport holds a live connection to.";
+        /// Constant for an event-driven transport no matter how many
+        /// peers connect.
+        net_driver_threads: gauge, "sdvm_net_driver_threads", "Transport driver threads (pollers + listener).";
+        /// Rounded to whole milliseconds.
+        coord_error_ms: gauge, "sdvm_coord_error_ms", "Vivaldi coordinate fit error (EWMA of absolute RTT prediction error, ms).";
+
+        // ---- histograms (µs) ----
+        career_total_us: histogram, "sdvm_frame_career_us", "Whole microframe career, created to executed (microseconds).",
+            rollup("sdvm_cluster_frame_career_us", "Microframe career time (creation to execution), merged across the cluster.",
+                "sdvm_cluster_frame_career_quantile_us", "Frame career quantile estimate from merged log2 buckets.",
+                career_sum_us, career_buckets);
+        /// Ends when the last parameter arrives.
+        career_wait_us: histogram, "sdvm_frame_career_wait_us", "Dataflow wait, created to executable (microseconds).";
+        career_fetch_us: histogram, "sdvm_frame_career_fetch_us", "Code fetch, executable to ready (microseconds).";
+        career_exec_us: histogram, "sdvm_frame_career_exec_us", "Queue plus run, ready to executed (microseconds).";
+        /// Encode + encrypt + frame.
+        seal_us: histogram, "sdvm_seal_us", "Security-manager seal time (microseconds).";
+        /// Decrypt + verify.
+        open_us: histogram, "sdvm_open_us", "Security-manager open time (microseconds).";
+        /// Live cells are indexed by [`manager_index`].
+        dispatch_us: by_manager, "sdvm_dispatch_us", "Per-manager inbound dispatch time (microseconds).";
+        /// Request sent to reply or timeout.
+        help_rtt_us: histogram, "sdvm_help_rtt_us", "Help-request round trip (microseconds).",
+            rollup("sdvm_cluster_help_rtt_us", "Help request round-trip time, merged across the cluster.",
+                "sdvm_cluster_help_rtt_quantile_us", "Help round-trip quantile estimate from merged log2 buckets.",
+                help_rtt_sum_us, help_rtt_buckets);
+        compile_us: histogram, "sdvm_compile_us", "Simulated on-the-fly compile duration (microseconds).";
+        detection_latency_us: histogram, "sdvm_detector_detection_latency_us", "Failure-detector detection latency, last-heard to declared (microseconds).";
+        retry_delay_us: histogram, "sdvm_retry_delay_us", "Backoff delay applied before each frame retry (microseconds).";
+
+        // ---- engine counters (cold: poison/repair events only) ----
+        // Declared after the hot histograms so the seed's field offsets —
+        // and with them the message-path cache lines — stay unchanged.
+        frames_retried: counter, "sdvm_frames_retried_total", "Microframes re-enqueued with backoff after an infrastructure error.",
+            rollup("sdvm_cluster_frames_retried_total", "Microframe retries, summed across the cluster.");
+        /// Retry budget exhausted, handler panic, or application error.
+        frames_quarantined: counter, "sdvm_frames_quarantined_total", "Microframes moved to the dead-letter store.",
+            rollup("sdvm_cluster_frames_quarantined_total", "Microframes quarantined as poison, summed across the cluster.");
+        handler_panics: counter, "sdvm_handler_panics_total", "Handler panics caught by the execution engine.";
+        workers_respawned: counter, "sdvm_workers_respawned_total", "Worker slot threads respawned by the supervisor.";
+        programs_stuck: counter, "sdvm_programs_stuck_total", "Programs the watchdog declared stuck.";
+
+        // ---- attraction-memory coherence (cold: replica protocol only) ----
+        mem_replica_hits: counter, "sdvm_mem_replica_hits_total", "Non-migrating reads served from a fresh local replica.";
+        mem_replica_misses: counter, "sdvm_mem_replica_misses_total", "Non-migrating reads that found no usable local copy and went remote.";
+        /// Counted at the holder, on actual drop.
+        mem_invalidations: counter, "sdvm_mem_invalidations_total", "Cached replicas dropped on an owner's invalidation.";
+        mem_chase_hops: histogram, "sdvm_mem_chase_hops", "Owner hops chased per remote read/write (count, log2 buckets).";
+
+        // ---- replicated / hedged execution (cold: coordinator only) ----
+        // Incremented directly by the replication manager (like
+        // `handler_panics`), not event-derived — the emitting site is
+        // always the coordinator itself.
+        /// All rounds, vote and hedge.
+        replicas_dispatched: counter, "sdvm_replicas_dispatched_total", "Replica copies dispatched by the site's replication coordinator.";
+        /// Counted once per frame, however many ballots disagree.
+        result_divergence: counter, "sdvm_result_divergence_total", "Frames whose replicas returned divergent results.";
+        hedges_fired: counter, "sdvm_hedges_fired_total", "Hedge duplicates fired after a frame's delay elapsed unanswered.";
+        hedge_wins: counter, "sdvm_hedge_wins_total", "Hedged frames settled by a fired duplicate, not the primary.";
+        hedge_delay_us: histogram, "sdvm_hedge_delay_us", "Pending time of hedged frames when their duplicate fired (microseconds).";
+
+        // ---- planned departure & online checkpoint (cold: ops only) ----
+        /// Incremented when the `SiteDraining` gossip goes out, before
+        /// any relocation work.
+        drain_started: counter, "sdvm_drain_started_total", "Graceful drains started on the site.";
+        /// Objects relocated, duties handed off, outbound queues flushed.
+        drain_completed: counter, "sdvm_drain_completed_total", "Graceful drains that ran to completion.";
+        drain_objects_relocated: counter, "sdvm_drain_objects_relocated_total", "Memory objects relocated to peers during drains.";
+        drain_frames_relocated: counter, "sdvm_drain_frames_relocated_total", "Waiting microframes relocated to peers during drains.";
+        drain_dead_letters_swept: counter, "sdvm_drain_dead_letters_swept_total", "Dead letters swept to the successor during drains.";
+        drain_duration_us: histogram, "sdvm_drain_duration_us", "Wall-clock duration of completed drains (microseconds).";
+        checkpoint_incremental_cuts: counter, "sdvm_checkpoint_incremental_cuts_total", "Incremental (pause-free) checkpoint cuts taken.";
+        checkpoint_incremental_shards_captured: counter, "sdvm_checkpoint_incremental_shards_captured_total", "Shards re-captured because dirty (or never cut) since the previous incremental cut.";
+        checkpoint_incremental_shards_reused: counter, "sdvm_checkpoint_incremental_shards_reused_total", "Shards whose cached incremental cut was reused unchanged.";
+        checkpoint_incremental_block_us: histogram, "sdvm_checkpoint_incremental_block_us", "Longest single-shard lock hold per incremental cut, the worst-case worker block (microseconds).";
+
+        dropped: by_reason, "sdvm_dropped_total", "Messages and results the site silently discarded, by reason.";
+    }
+    sampled {
+        /// Transport-level.
+        backpressure_stalls: counter, "sdvm_outbound_backpressure_stalls_total", "Sends that hit a full outbound queue and had to wait.";
+        /// 0 when no bus is attached; non-zero means the flight
+        /// recorder's last-N window is lossy.
+        bus_dropped: counter, "sdvm_bus_dropped_total", "Trace-bus events overwritten unread in the bounded ring.";
+        bus_tap_dropped: counter, "sdvm_bus_tap_dropped_total", "Trace-bus events dropped at full live-tap subscriber channels.";
+        mem_shard_contention: by_shard, "sdvm_mem_shard_contention", "Attraction-memory shard lock contention (blocking lock acquisitions).";
     }
 }
 
@@ -503,193 +645,10 @@ impl Metrics {
             TraceEvent::FrameQuarantined { .. } => self.frames_quarantined.inc(),
             TraceEvent::WorkerRespawned { .. } => self.workers_respawned.inc(),
             TraceEvent::ProgramStuck { .. } => self.programs_stuck.inc(),
+            TraceEvent::Dropped { reason, .. } => self.dropped[*reason as usize].inc(),
             _ => {}
         }
     }
-
-    /// Typed point-in-time snapshot of every metric.
-    pub fn snapshot(&self) -> SiteMetrics {
-        SiteMetrics {
-            messages_sent: self.messages_sent.get(),
-            messages_received: self.messages_received.get(),
-            help_requests: self.help_requests.get(),
-            help_granted: self.help_granted.get(),
-            help_denied: self.help_denied.get(),
-            suspicions_raised: self.suspicions_raised.get(),
-            suspicions_refuted: self.suspicions_refuted.get(),
-            zombies_fenced: self.zombies_fenced.get(),
-            crashes_declared: self.crashes_declared.get(),
-            frames_executed: self.frames_executed.get(),
-            frames_retried: self.frames_retried.get(),
-            frames_quarantined: self.frames_quarantined.get(),
-            handler_panics: self.handler_panics.get(),
-            workers_respawned: self.workers_respawned.get(),
-            programs_stuck: self.programs_stuck.get(),
-            mem_replica_hits: self.mem_replica_hits.get(),
-            mem_replica_misses: self.mem_replica_misses.get(),
-            mem_invalidations: self.mem_invalidations.get(),
-            mem_chase_hops: self.mem_chase_hops.snapshot(),
-            replicas_dispatched: self.replicas_dispatched.get(),
-            result_divergence: self.result_divergence.get(),
-            hedges_fired: self.hedges_fired.get(),
-            hedge_wins: self.hedge_wins.get(),
-            hedge_delay_us: self.hedge_delay_us.snapshot(),
-            drain_started: self.drain_started.get(),
-            drain_completed: self.drain_completed.get(),
-            drain_objects_relocated: self.drain_objects_relocated.get(),
-            drain_frames_relocated: self.drain_frames_relocated.get(),
-            drain_dead_letters_swept: self.drain_dead_letters_swept.get(),
-            drain_duration_us: self.drain_duration_us.snapshot(),
-            checkpoint_incremental_cuts: self.checkpoint_incremental_cuts.get(),
-            checkpoint_incremental_shards_captured: self
-                .checkpoint_incremental_shards_captured
-                .get(),
-            checkpoint_incremental_shards_reused: self.checkpoint_incremental_shards_reused.get(),
-            checkpoint_incremental_block_us: self.checkpoint_incremental_block_us.snapshot(),
-            mem_shard_contention: Vec::new(),
-            outbound_queue_depth: self.outbound_queue_depth.get(),
-            net_peers_connected: self.net_peers_connected.get(),
-            net_driver_threads: self.net_driver_threads.get(),
-            coord_error_ms: self.coord_error_ms.get(),
-            backpressure_stalls: 0,
-            bus_dropped: 0,
-            bus_tap_dropped: 0,
-            career_total_us: self.career_total_us.snapshot(),
-            career_wait_us: self.career_wait_us.snapshot(),
-            career_fetch_us: self.career_fetch_us.snapshot(),
-            career_exec_us: self.career_exec_us.snapshot(),
-            seal_us: self.seal_us.snapshot(),
-            open_us: self.open_us.snapshot(),
-            dispatch_us: DISPATCH_MANAGERS
-                .iter()
-                .zip(self.dispatch_us.iter())
-                .map(|(m, h)| (format!("{m:?}"), h.snapshot()))
-                .collect(),
-            help_rtt_us: self.help_rtt_us.snapshot(),
-            compile_us: self.compile_us.snapshot(),
-            detection_latency_us: self.detection_latency_us.snapshot(),
-            retry_delay_us: self.retry_delay_us.snapshot(),
-        }
-    }
-}
-
-/// A typed point-in-time snapshot of one site's metrics (the metrics
-/// half of `SiteStatus`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SiteMetrics {
-    /// Messages leaving this site's message manager.
-    pub messages_sent: u64,
-    /// Messages dispatched on this site.
-    pub messages_received: u64,
-    /// Help requests sent.
-    pub help_requests: u64,
-    /// Help requests answered with a frame.
-    pub help_granted: u64,
-    /// Help requests answered with can't-help.
-    pub help_denied: u64,
-    /// Suspicions raised.
-    pub suspicions_raised: u64,
-    /// Suspicions withdrawn.
-    pub suspicions_refuted: u64,
-    /// Zombie messages fenced.
-    pub zombies_fenced: u64,
-    /// Peers declared crashed.
-    pub crashes_declared: u64,
-    /// Frames executed.
-    pub frames_executed: u64,
-    /// Frames re-enqueued with backoff after an infrastructure error.
-    pub frames_retried: u64,
-    /// Frames moved to the dead-letter store.
-    pub frames_quarantined: u64,
-    /// Handler panics caught by the execution engine.
-    pub handler_panics: u64,
-    /// Worker slot threads respawned by the supervisor.
-    pub workers_respawned: u64,
-    /// Programs the watchdog declared stuck.
-    pub programs_stuck: u64,
-    /// Non-migrating reads served from a fresh local replica.
-    pub mem_replica_hits: u64,
-    /// Non-migrating reads that went remote.
-    pub mem_replica_misses: u64,
-    /// Cached replicas dropped on an owner's invalidation.
-    pub mem_invalidations: u64,
-    /// Owner hops chased per remote read/write.
-    pub mem_chase_hops: HistogramSnapshot,
-    /// Replica copies dispatched by this site's coordinator.
-    pub replicas_dispatched: u64,
-    /// Frames whose replicas returned divergent results.
-    pub result_divergence: u64,
-    /// Hedge duplicates fired.
-    pub hedges_fired: u64,
-    /// Hedged frames settled by a fired duplicate.
-    pub hedge_wins: u64,
-    /// Pending time of hedged frames when their duplicate fired (µs).
-    pub hedge_delay_us: HistogramSnapshot,
-    /// Drains started on this site.
-    pub drain_started: u64,
-    /// Drains that ran to completion.
-    pub drain_completed: u64,
-    /// Memory objects relocated to peers during drains.
-    pub drain_objects_relocated: u64,
-    /// Waiting frames relocated to peers during drains.
-    pub drain_frames_relocated: u64,
-    /// Dead letters swept to the successor during drains.
-    pub drain_dead_letters_swept: u64,
-    /// Wall-clock duration of each completed drain (µs).
-    pub drain_duration_us: HistogramSnapshot,
-    /// Incremental (pause-free) checkpoint cuts taken.
-    pub checkpoint_incremental_cuts: u64,
-    /// Shards re-captured because dirty (or never cut).
-    pub checkpoint_incremental_shards_captured: u64,
-    /// Shards whose cached cut was reused unchanged.
-    pub checkpoint_incremental_shards_reused: u64,
-    /// Longest single-shard lock hold per incremental cut (µs).
-    pub checkpoint_incremental_block_us: HistogramSnapshot,
-    /// Per-shard attraction-memory lock contention counts (filled in
-    /// from the memory manager at snapshot time, like
-    /// `backpressure_stalls`).
-    pub mem_shard_contention: Vec<u64>,
-    /// Frames waiting in outbound queues (sampled).
-    pub outbound_queue_depth: u64,
-    /// Peers with a live transport connection (sampled).
-    pub net_peers_connected: u64,
-    /// Transport driver threads, pollers + listener (sampled).
-    pub net_driver_threads: u64,
-    /// Vivaldi coordinate fit error, whole milliseconds (sampled).
-    pub coord_error_ms: u64,
-    /// Sends that hit a full outbound queue and had to wait (transport-
-    /// level; filled in from the transport at snapshot time).
-    pub backpressure_stalls: u64,
-    /// Bus events overwritten by ring wraparound (filled in from the
-    /// site's [`crate::trace::TraceLog`] at snapshot time; 0 when no
-    /// bus is attached). Non-zero means the flight recorder's last-N
-    /// window is lossy.
-    pub bus_dropped: u64,
-    /// Bus events a full subscriber tap failed to receive (filled in
-    /// from the trace bus at snapshot time).
-    pub bus_tap_dropped: u64,
-    /// Whole career: created → executed (µs).
-    pub career_total_us: HistogramSnapshot,
-    /// Dataflow wait: created → executable (µs).
-    pub career_wait_us: HistogramSnapshot,
-    /// Code fetch: executable → ready (µs).
-    pub career_fetch_us: HistogramSnapshot,
-    /// Queue + run: ready → executed (µs).
-    pub career_exec_us: HistogramSnapshot,
-    /// Seal (encode + encrypt + frame) time (µs).
-    pub seal_us: HistogramSnapshot,
-    /// Open (decrypt + verify) time (µs).
-    pub open_us: HistogramSnapshot,
-    /// Per-manager inbound dispatch time (µs), labeled by manager name.
-    pub dispatch_us: Vec<(String, HistogramSnapshot)>,
-    /// Help-request round trip (µs).
-    pub help_rtt_us: HistogramSnapshot,
-    /// Simulated compile duration (µs).
-    pub compile_us: HistogramSnapshot,
-    /// Failure-detector detection latency (µs).
-    pub detection_latency_us: HistogramSnapshot,
-    /// Backoff delay applied before each frame retry (µs).
-    pub retry_delay_us: HistogramSnapshot,
 }
 
 #[cfg(test)]
@@ -855,5 +814,24 @@ mod tests {
         assert_eq!(s.suspicions_refuted, 1);
         assert_eq!(s.zombies_fenced, 1);
         assert_eq!(s.crashes_declared, 1);
+    }
+
+    #[test]
+    fn every_drop_reason_counts_into_its_own_series() {
+        let m = Metrics::new();
+        for (i, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, i, "ALL lists the variants in order");
+            for _ in 0..=i {
+                m.observe(&TraceEvent::Dropped {
+                    site: SiteId(1),
+                    reason,
+                    detail: String::new(),
+                });
+            }
+        }
+        let s = m.snapshot();
+        for (i, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(s.dropped[i], (format!("{reason:?}"), i as u64 + 1));
+        }
     }
 }

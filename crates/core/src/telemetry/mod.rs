@@ -24,8 +24,8 @@ pub mod rollup;
 
 pub use export::{perfetto_trace_json, prom_label_escape, prometheus_text, trace_id_of};
 pub use metrics::{
-    manager_index, Counter, Gauge, Histogram, HistogramSnapshot, Metrics, SiteMetrics,
-    DISPATCH_MANAGERS, HISTOGRAM_BUCKETS,
+    manager_index, Counter, Family, Gauge, Histogram, HistogramSnapshot, Metrics, Rollup,
+    SiteMetrics, Value, DISPATCH_MANAGERS, FAMILIES, HISTOGRAM_BUCKETS,
 };
 pub use postmortem::{
     FlightRecorder, MAX_POSTMORTEM_FILES, POSTMORTEM_EVENT_WINDOW, POSTMORTEM_MIN_INTERVAL,

@@ -1,37 +1,31 @@
 //! Cluster-wide metrics rollup (ops plane, wire v7).
 //!
-//! Every heartbeat tick a site condenses its [`SiteMetrics`] snapshot
-//! into a [`WireMetricsSummary`] digest and piggybacks it on the
+//! Every heartbeat tick a site condenses the `rollup`-marked families
+//! of its registry into a [`WireMetricsSummary`] digest and piggybacks it on the
 //! heartbeat fan-out. Receivers store the digest latest-wins per
 //! sender, so *any* site can serve cluster totals without a central
 //! scrape: counters are cumulative (sums are meaningful) and the
 //! histogram digests merge by element-wise bucket addition, which keeps
 //! quantile estimates exact at bucket granularity.
 
-use crate::telemetry::metrics::{HistogramSnapshot, SiteMetrics, HISTOGRAM_BUCKETS};
+use crate::telemetry::export::write_header;
+use crate::telemetry::metrics::{
+    HistogramSnapshot, Metrics, SiteMetrics, Value, FAMILIES, HISTOGRAM_BUCKETS,
+};
 use parking_lot::Mutex;
 use sdvm_types::SiteId;
 use sdvm_wire::WireMetricsSummary;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Condense a full per-site metrics snapshot into the small wire digest
-/// that rides heartbeats.
-pub fn digest_of(m: &SiteMetrics) -> WireMetricsSummary {
-    WireMetricsSummary {
-        messages_sent: m.messages_sent,
-        messages_received: m.messages_received,
-        frames_executed: m.frames_executed,
-        frames_retried: m.frames_retried,
-        frames_quarantined: m.frames_quarantined,
-        crashes_declared: m.crashes_declared,
-        help_requests: m.help_requests,
-        help_granted: m.help_granted,
-        career_sum_us: m.career_total_us.sum_us,
-        career_buckets: m.career_total_us.buckets.clone(),
-        help_rtt_sum_us: m.help_rtt_us.sum_us,
-        help_rtt_buckets: m.help_rtt_us.buckets.clone(),
+/// Condense the `rollup`-marked families of a site's registry into the
+/// small wire digest that rides heartbeats.
+pub fn digest_of(m: &Metrics) -> WireMetricsSummary {
+    let mut d = WireMetricsSummary::default();
+    for r in FAMILIES.iter().filter_map(|f| f.rollup.as_ref()) {
+        (r.digest)(m, &mut d);
     }
+    d
 }
 
 /// Cluster totals merged from every known per-site digest.
@@ -39,35 +33,10 @@ pub fn digest_of(m: &SiteMetrics) -> WireMetricsSummary {
 pub struct ClusterTotals {
     /// Sites contributing a digest (the local one included).
     pub sites: usize,
-    /// Summed cumulative counters, in digest field order.
-    pub messages_sent: u64,
-    /// Messages received across the cluster.
-    pub messages_received: u64,
-    /// Microframes executed across the cluster.
-    pub frames_executed: u64,
-    /// Microframe retries across the cluster.
-    pub frames_retried: u64,
-    /// Microframes quarantined as poison across the cluster.
-    pub frames_quarantined: u64,
-    /// Crash verdicts declared across the cluster.
-    pub crashes_declared: u64,
-    /// Help requests sent across the cluster.
-    pub help_requests: u64,
-    /// Help requests granted across the cluster.
-    pub help_granted: u64,
-    /// Merged frame-career histogram (element-wise bucket sums).
-    pub career_us: HistogramSnapshot,
-    /// Merged help round-trip histogram.
-    pub help_rtt_us: HistogramSnapshot,
-}
-
-/// Fold one wire-length bucket vector into a fixed-width accumulator,
-/// clamping oversized digests into the overflow bucket so a hostile or
-/// future sender cannot make us index out of range.
-fn merge_buckets(acc: &mut [u64; HISTOGRAM_BUCKETS], wire: &[u64]) {
-    for (i, v) in wire.iter().enumerate() {
-        acc[i.min(HISTOGRAM_BUCKETS - 1)] = acc[i.min(HISTOGRAM_BUCKETS - 1)].saturating_add(*v);
-    }
+    /// The `rollup`-marked families summed across those sites —
+    /// counters by saturating addition, histograms bucket-wise; every
+    /// other field stays at its default.
+    pub merged: SiteMetrics,
 }
 
 /// Latest-wins store of per-site digests, keyed by sender.
@@ -113,26 +82,11 @@ impl ClusterRollup {
             sites: digests.len(),
             ..Default::default()
         };
-        let mut career = [0u64; HISTOGRAM_BUCKETS];
-        let mut help_rtt = [0u64; HISTOGRAM_BUCKETS];
-        for d in digests.values() {
-            t.messages_sent = t.messages_sent.saturating_add(d.messages_sent);
-            t.messages_received = t.messages_received.saturating_add(d.messages_received);
-            t.frames_executed = t.frames_executed.saturating_add(d.frames_executed);
-            t.frames_retried = t.frames_retried.saturating_add(d.frames_retried);
-            t.frames_quarantined = t.frames_quarantined.saturating_add(d.frames_quarantined);
-            t.crashes_declared = t.crashes_declared.saturating_add(d.crashes_declared);
-            t.help_requests = t.help_requests.saturating_add(d.help_requests);
-            t.help_granted = t.help_granted.saturating_add(d.help_granted);
-            t.career_us.sum_us = t.career_us.sum_us.saturating_add(d.career_sum_us);
-            t.help_rtt_us.sum_us = t.help_rtt_us.sum_us.saturating_add(d.help_rtt_sum_us);
-            merge_buckets(&mut career, &d.career_buckets);
-            merge_buckets(&mut help_rtt, &d.help_rtt_buckets);
+        for r in FAMILIES.iter().filter_map(|f| f.rollup.as_ref()) {
+            for d in digests.values() {
+                (r.absorb)(&mut t.merged, d);
+            }
         }
-        t.career_us.buckets = career.to_vec();
-        t.career_us.count = career.iter().sum();
-        t.help_rtt_us.buckets = help_rtt.to_vec();
-        t.help_rtt_us.count = help_rtt.iter().sum();
         t
     }
 }
@@ -145,95 +99,44 @@ impl ClusterRollup {
 /// bucket-merge estimates, labelled as such in HELP).
 pub fn cluster_prometheus_text(t: &ClusterTotals) -> String {
     let mut out = String::with_capacity(4096);
-    let _ = writeln!(
-        out,
-        "# HELP sdvm_cluster_sites Sites contributing a metrics digest to this rollup."
+    write_header(
+        &mut out,
+        "sdvm_cluster_sites",
+        "Sites contributing a metrics digest to this rollup.",
+        "gauge",
     );
-    let _ = writeln!(out, "# TYPE sdvm_cluster_sites gauge");
     let _ = writeln!(out, "sdvm_cluster_sites {}", t.sites);
-    let counters: [(&str, &str, u64); 8] = [
-        (
-            "sdvm_cluster_messages_sent_total",
-            "SDMessages sent, summed across the cluster.",
-            t.messages_sent,
-        ),
-        (
-            "sdvm_cluster_messages_received_total",
-            "SDMessages received, summed across the cluster.",
-            t.messages_received,
-        ),
-        (
-            "sdvm_cluster_frames_executed_total",
-            "Microframes executed, summed across the cluster.",
-            t.frames_executed,
-        ),
-        (
-            "sdvm_cluster_frames_retried_total",
-            "Microframe retries, summed across the cluster.",
-            t.frames_retried,
-        ),
-        (
-            "sdvm_cluster_frames_quarantined_total",
-            "Microframes quarantined as poison, summed across the cluster.",
-            t.frames_quarantined,
-        ),
-        (
-            "sdvm_cluster_crashes_declared_total",
-            "Crash verdicts declared, summed across the cluster.",
-            t.crashes_declared,
-        ),
-        (
-            "sdvm_cluster_help_requests_total",
-            "Help requests sent, summed across the cluster.",
-            t.help_requests,
-        ),
-        (
-            "sdvm_cluster_help_granted_total",
-            "Help requests granted, summed across the cluster.",
-            t.help_granted,
-        ),
-    ];
-    for (name, help, v) in counters {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
+    for f in FAMILIES {
+        let Some(r) = &f.rollup else { continue };
+        write_header(&mut out, r.name, r.help, f.kind);
+        match (f.value)(&t.merged) {
+            Value::Scalar(v) => {
+                let _ = writeln!(out, "{} {v}", r.name);
+            }
+            Value::Histogram(h) => {
+                write_merged_histogram(&mut out, r.name, h);
+                if let Some((name, help)) = r.quantiles {
+                    write_header(&mut out, name, help, "gauge");
+                    for (label, p) in [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)] {
+                        let _ = writeln!(out, "{name}{{q=\"{label}\"}} {}", h.quantile(p));
+                    }
+                }
+            }
+            // The table's `rollup` mark exists for counters and
+            // histograms only.
+            Value::Labelled(..) => {}
+        }
     }
-    write_merged_histogram(
-        &mut out,
-        "sdvm_cluster_frame_career_us",
-        "Microframe career time (creation to execution), merged across the cluster.",
-        &t.career_us,
-    );
-    write_merged_histogram(
-        &mut out,
-        "sdvm_cluster_help_rtt_us",
-        "Help request round-trip time, merged across the cluster.",
-        &t.help_rtt_us,
-    );
-    write_quantiles(
-        &mut out,
-        "sdvm_cluster_frame_career_quantile_us",
-        "Frame career quantile estimate from merged log2 buckets.",
-        &t.career_us,
-    );
-    write_quantiles(
-        &mut out,
-        "sdvm_cluster_help_rtt_quantile_us",
-        "Help round-trip quantile estimate from merged log2 buckets.",
-        &t.help_rtt_us,
-    );
     out
 }
 
 /// One unlabeled cluster histogram: cumulative `_bucket{le=...}` rows
 /// over the log2 boundaries, then `_sum` and `_count`.
-fn write_merged_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+fn write_merged_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
     let mut cumulative = 0u64;
-    for (i, v) in h.buckets.iter().enumerate() {
-        cumulative += v;
-        if i + 1 == h.buckets.len() {
+    for i in 0..HISTOGRAM_BUCKETS {
+        cumulative += h.buckets.get(i).copied().unwrap_or(0);
+        if i + 1 == HISTOGRAM_BUCKETS {
             let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
         } else {
             let le = if i == 0 { 0 } else { 1u64 << i };
@@ -242,15 +145,6 @@ fn write_merged_histogram(out: &mut String, name: &str, help: &str, h: &Histogra
     }
     let _ = writeln!(out, "{name}_sum {}", h.sum_us);
     let _ = writeln!(out, "{name}_count {}", h.count);
-}
-
-/// p50/p99/p999 gauges with a `q` label, estimated from merged buckets.
-fn write_quantiles(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (label, p) in [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)] {
-        let _ = writeln!(out, "{name}{{q=\"{label}\"}} {}", h.quantile(p));
-    }
 }
 
 #[cfg(test)]
@@ -282,12 +176,13 @@ mod tests {
         r.record(SiteId(2), digest(5, vec![1, 1, 1, 8]));
         let t = r.totals();
         assert_eq!(t.sites, 2);
+        let t = t.merged;
         assert_eq!(t.messages_sent, 15);
         assert_eq!(t.frames_executed, 19, "base+2 from each of the two digests");
-        assert_eq!(t.career_us.sum_us, 1500);
-        assert_eq!(t.career_us.count, 17);
-        assert_eq!(&t.career_us.buckets[..4], &[1, 3, 5, 8]);
-        assert_eq!(t.career_us.buckets.len(), HISTOGRAM_BUCKETS);
+        assert_eq!(t.career_total_us.sum_us, 1500);
+        assert_eq!(t.career_total_us.count, 17);
+        assert_eq!(&t.career_total_us.buckets[..4], &[1, 3, 5, 8]);
+        assert_eq!(t.career_total_us.buckets.len(), HISTOGRAM_BUCKETS);
     }
 
     #[test]
@@ -295,7 +190,7 @@ mod tests {
         let r = ClusterRollup::new();
         r.record(SiteId(1), digest(10, vec![]));
         r.record(SiteId(1), digest(20, vec![]));
-        assert_eq!(r.totals().messages_sent, 20, "latest digest wins");
+        assert_eq!(r.totals().merged.messages_sent, 20, "latest digest wins");
         r.forget(SiteId(1));
         assert_eq!(r.totals().sites, 0);
     }
@@ -304,10 +199,10 @@ mod tests {
     fn oversized_wire_buckets_clamp_into_overflow() {
         let r = ClusterRollup::new();
         r.record(SiteId(1), digest(0, vec![1; HISTOGRAM_BUCKETS + 10]));
-        let t = r.totals();
-        assert_eq!(t.career_us.buckets.len(), HISTOGRAM_BUCKETS);
-        assert_eq!(t.career_us.buckets[HISTOGRAM_BUCKETS - 1], 11);
-        assert_eq!(t.career_us.count, (HISTOGRAM_BUCKETS + 10) as u64);
+        let t = r.totals().merged.career_total_us;
+        assert_eq!(t.buckets.len(), HISTOGRAM_BUCKETS);
+        assert_eq!(t.buckets[HISTOGRAM_BUCKETS - 1], 11);
+        assert_eq!(t.count, (HISTOGRAM_BUCKETS + 10) as u64);
     }
 
     #[test]
@@ -346,20 +241,18 @@ mod tests {
 
     #[test]
     fn digest_of_copies_the_right_fields() {
-        let m = SiteMetrics {
-            messages_sent: 7,
-            frames_executed: 3,
-            career_total_us: HistogramSnapshot {
-                count: 0,
-                sum_us: 900,
-                buckets: vec![0, 1, 2],
-            },
-            ..Default::default()
-        };
+        let m = Metrics::new();
+        m.messages_sent.add(7);
+        m.frames_executed.add(3);
+        m.help_denied.inc(); // not rollup-marked: stays out of the digest
+        m.career_total_us.observe(900);
+        m.help_rtt_us.observe(5);
         let d = digest_of(&m);
         assert_eq!(d.messages_sent, 7);
         assert_eq!(d.frames_executed, 3);
         assert_eq!(d.career_sum_us, 900);
-        assert_eq!(d.career_buckets, vec![0, 1, 2]);
+        assert_eq!(d.career_buckets, m.career_total_us.snapshot().buckets);
+        assert_eq!(d.help_rtt_sum_us, 5);
+        assert_eq!(d.help_rtt_buckets.iter().sum::<u64>(), 1);
     }
 }

@@ -36,6 +36,41 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 /// Default depth of a subscriber tap's channel.
 pub const DEFAULT_TAP_CAPACITY: usize = 1024;
 
+/// Why a site discarded a message or result without telling anyone —
+/// the label values of `sdvm_dropped_total` (the variant names, like
+/// the `manager` label of `sdvm_dispatch_us`) and the payload of
+/// [`TraceEvent::Dropped`]. Most are benign (at-least-once delivery
+/// makes duplicates normal); a hung program shows up as one of these
+/// climbing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DropReason {
+    /// `apply_or_forward` ran out of attempts: the target stayed
+    /// unknown at its directory (a consumed frame's duplicate result)
+    /// or its owner stayed unreachable.
+    ForwardGaveUp,
+    /// The directory names this site as owner but the frame is no
+    /// longer waiting (already executable or consumed): the result is
+    /// stale.
+    StaleOwnerSelf,
+    /// The target frame was consumed cluster-wide: a duplicate result.
+    Tombstone,
+    /// A voted or hedged frame's winning send could not be applied.
+    WinnerSendFailed,
+    /// An unsolicited id-block grant this site's id strategy cannot use.
+    IdGrantIgnored,
+}
+
+impl DropReason {
+    /// Every reason, in `sdvm_dropped_total` series order.
+    pub const ALL: [DropReason; 5] = [
+        DropReason::ForwardGaveUp,
+        DropReason::StaleOwnerSelf,
+        DropReason::Tombstone,
+        DropReason::WinnerSendFailed,
+        DropReason::IdGrantIgnored,
+    ];
+}
+
 /// Something observable happened inside a site.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
@@ -310,6 +345,15 @@ pub enum TraceEvent {
         /// Site whose execution completed the frame.
         winner: SiteId,
     },
+    /// The site discarded a message or result (see [`DropReason`]).
+    Dropped {
+        /// Site that dropped it.
+        site: SiteId,
+        /// Why.
+        reason: DropReason,
+        /// What was dropped, for a human reading the trace.
+        detail: String,
+    },
 }
 
 impl TraceEvent {
@@ -342,7 +386,8 @@ impl TraceEvent {
             | TraceEvent::ReplicaDispatched { site, .. }
             | TraceEvent::ResultDivergence { site, .. }
             | TraceEvent::HedgeFired { site, .. }
-            | TraceEvent::HedgeWon { site, .. } => *site,
+            | TraceEvent::HedgeWon { site, .. }
+            | TraceEvent::Dropped { site, .. } => *site,
         }
     }
 
@@ -373,7 +418,8 @@ impl TraceEvent {
             | TraceEvent::ReplicaDispatched { .. }
             | TraceEvent::ResultDivergence { .. }
             | TraceEvent::HedgeFired { .. }
-            | TraceEvent::HedgeWon { .. } => Category::Engine,
+            | TraceEvent::HedgeWon { .. }
+            | TraceEvent::Dropped { .. } => Category::Engine,
             TraceEvent::ReplicaInvalidated { .. } => Category::Memory,
         }
     }
@@ -398,7 +444,7 @@ pub enum Category {
     /// Crash recovery.
     Recovery = 1 << 6,
     /// Execution-engine robustness: retries, quarantines, worker
-    /// respawns, stuck-program verdicts.
+    /// respawns, stuck-program verdicts, silent drops.
     Engine = 1 << 7,
     /// Attraction-memory coherence (replica invalidations).
     Memory = 1 << 8,

@@ -6,8 +6,8 @@
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
 use bytes::Bytes;
-use sdvm_core::{AppBuilder, InProcessCluster, SiteConfig, TraceEvent, TraceLog};
-use sdvm_types::{PlatformId, SchedulingHint, Value};
+use sdvm_core::{prometheus_text, AppBuilder, InProcessCluster, SiteConfig, TraceEvent, TraceLog};
+use sdvm_types::{PlatformId, SchedulingHint, SiteId, Value};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -482,5 +482,55 @@ fn accounting_tracks_per_program_usage() {
     assert!(
         cpu_total >= Duration::from_millis(24 * 5),
         "billed cpu {cpu_total:?} below the sleep floor"
+    );
+}
+
+/// A result sent to a frame that has already fired is discarded without
+/// an error; the discard must be answerable from a live site — one
+/// `sdvm_dropped_total` count with a reason, one `Dropped` bus event.
+#[test]
+fn a_duplicate_result_is_counted_and_traced_as_a_drop() {
+    let trace = TraceLog::new();
+    let cluster = InProcessCluster::with_configs(vec![SiteConfig::default()], Some(trace.clone()))
+        .expect("cluster");
+    let mut app = AppBuilder::new("duplicate-result");
+    let leaf = app.thread("leaf", |ctx| {
+        let v = ctx.param(0)?.clone();
+        ctx.send(ctx.target(0)?, 0, v)
+    });
+    let handle = cluster
+        .site(0)
+        .launch(&app, move |ctx, result| {
+            let w = ctx.create_frame(leaf, 1, vec![result], Default::default());
+            ctx.send(w, 0, Value::from_u64(7))?;
+            ctx.send(w, 0, Value::from_u64(7))
+        })
+        .expect("launch");
+    let result = handle.wait(WAIT).expect("result");
+    assert_eq!(result.as_u64().expect("u64"), 7);
+
+    let site = cluster.site(0);
+    let inner = site.inner();
+    let m = inner.metrics.snapshot();
+    let counted: Vec<_> = m.dropped.iter().filter(|(_, n)| *n > 0).collect();
+    assert_eq!(counted.len(), 1, "one drop, one reason: {:?}", m.dropped);
+    let (reason, n) = counted[0];
+    assert_eq!(*n, 1);
+    let traced = trace.filter(|e| matches!(e, TraceEvent::Dropped { .. }));
+    assert_eq!(traced.len(), 1, "one Dropped event on the bus");
+    let TraceEvent::Dropped {
+        reason: traced_reason,
+        ..
+    } = &traced[0]
+    else {
+        unreachable!("filtered on Dropped");
+    };
+    assert_eq!(&format!("{traced_reason:?}"), reason);
+    let text = prometheus_text(&[(SiteId(1), m.clone())]);
+    assert!(
+        text.contains(&format!(
+            "sdvm_dropped_total{{site=\"1\",reason=\"{reason}\"}} 1"
+        )),
+        "drop missing from the exposition"
     );
 }

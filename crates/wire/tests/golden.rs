@@ -70,130 +70,40 @@ fn golden_traced_ping() {
 }
 
 #[test]
-fn v1_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 1 (before
-    // `src_incarnation` entered the envelope). A current daemon must
-    // refuse them with a version error, not misparse the old layout.
-    let v1 = unhex("01030307032a0028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v1).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v1 frame must fail on the version byte, got: {msg}"
-    );
-}
-
-#[test]
-fn v2_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 2 (before the
-    // trace context entered the envelope). A current daemon must refuse
-    // them with a version error — decoding best-effort would misread the
-    // payload tag as trace-context bytes.
-    let v2 = unhex("0203000307032a0028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v2).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v2 frame must fail on the version byte, got: {msg}"
-    );
-}
-
-#[test]
-fn v3_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 3 (before
-    // object versions / the replica mode entered the memory payloads). A
-    // v4 daemon must refuse them with a version error — decoding
-    // best-effort would misread memory payloads that gained fields.
-    let v3 = unhex("0303000307032a00000028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v3).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v3 frame must fail on the version byte, got: {msg}"
-    );
-}
-
-#[test]
-fn v4_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 4 (before
-    // batch-sealed security records). A v5 daemon must refuse them with
-    // a version error: a v4 peer cannot open batch records, so mixed
-    // clusters have to fail loudly at the version byte instead of
-    // silently losing whole batches.
-    let v4 = unhex("0403000307032a00000028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v4).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v4 frame must fail on the version byte, got: {msg}"
-    );
-}
-
-#[test]
-fn v5_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 5 (before
-    // replicated/hedged execution). A v6 daemon must refuse them with a
-    // version error: a v5 peer would treat `ReplicaTask`/`ReplicaDone`
-    // as unknown payloads and lack the `ProgramRegister` replication
-    // field, so mixed clusters would double-fire consumers instead of
-    // voting — they have to fail loudly at the version byte.
-    let v5 = unhex("0503000307032a00000028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v5).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v5 frame must fail on the version byte, got: {msg}"
-    );
-}
-
-#[test]
-fn v6_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 6 (before the
-    // ops-plane metrics rollup). A v7 daemon must refuse them with a
-    // version error: a v6 peer treats `MetricsSummary` digests as
-    // unknown payloads and replies `Error` to every heartbeat tick,
-    // spamming the sender — mixed clusters fail loudly at the version
-    // byte instead.
-    let v6 = unhex("0603000307032a00000028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v6).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v6 frame must fail on the version byte, got: {msg}"
-    );
-}
-
-#[test]
-fn v7_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 7 (before the
-    // planned-departure plane). A v7 peer treats the `SiteDraining`
-    // gossip as an unknown payload: it would keep granting help to the
-    // leaver and keep targeting it as a backup buddy while it drains —
-    // mixed clusters fail loudly at the version byte instead.
-    let v7 = unhex("0703000307032a00000028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v7).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v7 frame must fail on the version byte, got: {msg}"
-    );
-}
-
-#[test]
-fn v8_frames_are_rejected_loudly() {
-    // The exact golden ApplyResult bytes from WIRE_VERSION 8 (before
-    // Vivaldi network coordinates). A v8 peer mis-parses the extra
-    // option byte the coordinate adds to every `Heartbeat`,
-    // `ProbeRequest` and `ProbeAck` — the membership plane would decode
-    // garbage loads and incarnations — so mixed clusters fail loudly at
-    // the version byte instead.
-    let v8 = unhex("0803000307032a00000028020901080807060504030201");
-    let err = SdMessage::from_bytes(&v8).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("version"),
-        "v8 frame must fail on the version byte, got: {msg}"
-    );
+fn frames_of_every_earlier_version_are_rejected_loudly() {
+    // The exact golden ApplyResult bytes of each earlier WIRE_VERSION,
+    // with what the next version changed. Every later layout would
+    // misparse them (a payload tag read as trace-context bytes, memory
+    // payloads that gained fields, batch records a v4 peer cannot open,
+    // replication and drain gossip treated as unknown payloads, the
+    // coordinate's extra option byte), so a current daemon must refuse
+    // them at the version byte, not decode best-effort.
+    let earlier = [
+        // v2 put `src_incarnation` into the envelope.
+        (1, "01030307032a0028020901080807060504030201"),
+        // v3: the trace context.
+        (2, "0203000307032a0028020901080807060504030201"),
+        // v4: object versions and the replica mode in memory payloads.
+        (3, "0303000307032a00000028020901080807060504030201"),
+        // v5: batch-sealed security records.
+        (4, "0403000307032a00000028020901080807060504030201"),
+        // v6: replicated/hedged execution.
+        (5, "0503000307032a00000028020901080807060504030201"),
+        // v7: the ops-plane metrics rollup.
+        (6, "0603000307032a00000028020901080807060504030201"),
+        // v8: the planned-departure plane.
+        (7, "0703000307032a00000028020901080807060504030201"),
+        // v9: Vivaldi network coordinates.
+        (8, "0803000307032a00000028020901080807060504030201"),
+    ];
+    for (version, frame) in earlier {
+        let err = SdMessage::from_bytes(&unhex(frame)).unwrap_err();
+        let msg = format!("{err}");
+        assert!(
+            msg.contains("version"),
+            "v{version} frame must fail on the version byte, got: {msg}"
+        );
+    }
 }
 
 #[test]

@@ -23,11 +23,13 @@
 //! ```
 //!
 //! Writes `OUT_DIR/trace.json` (open at <https://ui.perfetto.dev>),
-//! `OUT_DIR/metrics.prom` (Prometheus text exposition) and
+//! `OUT_DIR/metrics.prom` (Prometheus text exposition),
+//! `OUT_DIR/families.txt` (the registry table's family names) and
 //! `OUT_DIR/postmortems/postmortem-*.json` (the flight recorder's
 //! black boxes). `OUT_DIR` defaults to the current directory.
 
 use sdvm::apps::primes::PrimesProgram;
+use sdvm::core::telemetry::FAMILIES;
 use sdvm::core::{
     perfetto_trace_json, prometheus_text, ChaosAction, ChaosScenario, InProcessCluster, SiteConfig,
     SiteMetrics, TraceEvent, TraceLog,
@@ -285,6 +287,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let prom_path = format!("{out_dir}/metrics.prom");
     std::fs::write(&prom_path, prometheus_text(&snapshots))?;
+    // The registry table's family names, one per line: CI holds the
+    // exposition above against this rather than against a name list.
+    let families: String = FAMILIES.iter().map(|f| format!("{}\n", f.name)).collect();
+    std::fs::write(format!("{out_dir}/families.txt"), families)?;
 
     println!();
     println!(
