@@ -55,12 +55,6 @@ pub struct SiteConfig {
     /// Gossiped suspicions (distinct accusers, this site included) that
     /// escalate a suspect to crashed before `crash_timeout` elapses.
     pub suspicion_quorum: usize,
-    /// Rank help-request targets, replica placement and probe victims by
-    /// Vivaldi-predicted proximity (wire v9). Until this site's
-    /// coordinate converges, selection falls back to the uniform
-    /// pre-coordinate behavior either way — the knob exists for A/B
-    /// ablation against uniform selection on converged clusters.
-    pub proximity_routing: bool,
     /// How long an idle worker waits for a help reply before trying the
     /// next site.
     pub help_timeout: Duration,
@@ -125,7 +119,6 @@ impl Default for SiteConfig {
             suspect_timeout: Duration::from_millis(300),
             probe_fanout: 3,
             suspicion_quorum: 2,
-            proximity_routing: true,
             help_timeout: Duration::from_millis(100),
             request_timeout: Duration::from_secs(5),
             max_frame_retries: 5,

@@ -25,7 +25,6 @@ pub mod api;
 pub mod chaos;
 pub mod checkpoint;
 pub mod config;
-pub mod coord;
 pub mod frame;
 pub mod managers;
 pub mod pending;

@@ -8,15 +8,14 @@
 //! modulo the server count. All three are implemented and compared in
 //! experiment E8.
 
-use crate::coord::VivaldiState;
 use crate::site::{SiteInner, Task};
 use crate::trace::{DropReason, TraceEvent};
 use parking_lot::Mutex;
 use sdvm_types::{
-    IdAllocStrategy, LoadReport, ManagerId, PhysicalAddr, SdvmError, SdvmResult, SiteDescriptor,
-    SiteId,
+    policy, Candidate, Coord, IdAllocStrategy, LoadReport, ManagerId, PhysicalAddr, SdvmError,
+    SdvmResult, SiteDescriptor, SiteId, VivaldiState,
 };
-use sdvm_wire::{Payload, SdMessage, WireCoord};
+use sdvm_wire::{Payload, SdMessage};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -129,7 +128,7 @@ struct ClusterState {
     /// traffic that already flows (help requests, direct probes).
     vivaldi: VivaldiState,
     /// Latest gossiped coordinate per peer (heartbeats, probe acks).
-    coords: HashMap<SiteId, WireCoord>,
+    coords: HashMap<SiteId, Coord>,
 }
 
 /// The cluster manager of one site.
@@ -142,7 +141,6 @@ pub struct ClusterManager {
     suspect_timeout: Duration,
     probe_fanout: usize,
     suspicion_quorum: usize,
-    proximity_routing: bool,
 }
 
 impl ClusterManager {
@@ -175,7 +173,6 @@ impl ClusterManager {
             suspect_timeout: config.suspect_timeout,
             probe_fanout: config.probe_fanout,
             suspicion_quorum: config.suspicion_quorum.max(2),
-            proximity_routing: config.proximity_routing,
         }
     }
 
@@ -665,12 +662,12 @@ impl ClusterManager {
 
     /// This site's current coordinate, for piggybacking on heartbeats
     /// and probe traffic.
-    pub fn my_coord(&self) -> WireCoord {
+    pub fn my_coord(&self) -> Coord {
         self.state.lock().vivaldi.coord
     }
 
     /// Record a peer's gossiped coordinate (heartbeat, probe payloads).
-    pub fn note_coord(&self, from: SiteId, coord: Option<WireCoord>) {
+    pub fn note_coord(&self, from: SiteId, coord: Option<Coord>) {
         let Some(c) = coord else { return };
         if !from.is_valid() {
             return;
@@ -702,42 +699,22 @@ impl ClusterManager {
     }
 
     /// Rank `candidates` by predicted RTT from this site, nearest first
-    /// (ties broken by id for determinism). Returns `false` — leaving
-    /// the order untouched — unless this site's coordinate has
-    /// converged and at least one candidate has gossiped a coordinate;
-    /// callers then fall back to their uniform (pre-v9) selection.
-    /// Disabled wholesale by `SiteConfig::proximity_routing = false`
-    /// (the A/B ablation knob).
+    /// (see [`policy::rank_by_proximity`]). Returns `false` — leaving
+    /// the order untouched — until this site's coordinate has converged
+    /// and at least one candidate has gossiped a coordinate; callers
+    /// then fall back to their uniform (pre-v9) selection.
     pub fn rank_by_proximity(&self, candidates: &mut [SiteId]) -> bool {
-        if !self.proximity_routing {
-            return false;
-        }
         let st = self.state.lock();
-        Self::rank_by_proximity_locked(&st, candidates)
-    }
-
-    fn rank_by_proximity_locked(st: &ClusterState, candidates: &mut [SiteId]) -> bool {
-        if !st.vivaldi.converged() {
+        let mut ranked: Vec<Candidate<SiteId>> = candidates
+            .iter()
+            .map(|&s| (s, 0, st.coords.get(&s).copied()))
+            .collect();
+        if !policy::rank_by_proximity(&st.vivaldi, &mut ranked) {
             return false;
         }
-        if !candidates.iter().any(|s| st.coords.contains_key(s)) {
-            return false;
+        for (slot, c) in candidates.iter_mut().zip(ranked) {
+            *slot = c.0;
         }
-        candidates.sort_by(|a, b| {
-            let da = st
-                .coords
-                .get(a)
-                .map(|c| st.vivaldi.predict_ms(c))
-                .unwrap_or(f64::INFINITY);
-            let db = st
-                .coords
-                .get(b)
-                .map(|c| st.vivaldi.predict_ms(c))
-                .unwrap_or(f64::INFINITY);
-            da.partial_cmp(&db)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
         true
     }
 
@@ -856,49 +833,25 @@ impl ClusterManager {
         home
     }
 
-    /// Choose a site to send a help request to: prefer the busiest known
-    /// site (it most probably has spare work). With no load signal, rank
-    /// the candidates by predicted proximity (wire v9) and round-robin
-    /// over the nearest few — a help round trip to a close peer costs a
-    /// fraction of a far one, and its reply arrives while a distant
-    /// peer's would still be in flight. Until the coordinate converges
-    /// this degrades to the original uniform round-robin.
+    /// Choose a site to send a help request to among the live,
+    /// non-draining members, by their last gossiped load and coordinate
+    /// (the shared rule: [`policy::pick_help_target`]).
     pub fn pick_help_target(&self, site: &SiteInner) -> Option<SiteId> {
         let me = site.my_id();
-        let mut st = self.state.lock();
-        let mut candidates: Vec<SiteId> = st
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let mut candidates: Vec<Candidate<SiteId>> = st
             .sites
             .keys()
             .copied()
             .filter(|&s| s != me && !st.draining.contains(&s))
+            .map(|s| {
+                let load = st.loads.get(&s).map_or(0, |l| l.busyness());
+                (s, load, st.coords.get(&s).copied())
+            })
             .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        candidates.sort_unstable();
-        let busiest = candidates
-            .iter()
-            .copied()
-            .max_by_key(|s| st.loads.get(s).map(|l| l.busyness()).unwrap_or(0));
-        let best = busiest.filter(|s| st.loads.get(s).map(|l| l.busyness()).unwrap_or(0) > 0);
-        Some(match best {
-            Some(s) => s,
-            None => {
-                let pool = if self.proximity_routing
-                    && Self::rank_by_proximity_locked(&st, &mut candidates)
-                {
-                    // Rotate within the nearest few instead of pinning
-                    // the single nearest peer, so one close neighbor
-                    // doesn't absorb every idle site's requests.
-                    candidates.len().min(3)
-                } else {
-                    candidates.len()
-                };
-                let idx = st.rr % pool;
-                st.rr = st.rr.wrapping_add(1);
-                candidates[idx]
-            }
-        })
+        candidates.sort_unstable_by_key(|c| c.0);
+        policy::pick_help_target(&mut candidates, &st.vivaldi, &mut st.rr)
     }
 
     // ---- id allocation (the three concepts of §4) ----

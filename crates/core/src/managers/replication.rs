@@ -6,7 +6,7 @@
 //! thermal throttling). Both are invisible to the failure detector —
 //! the site heartbeats happily throughout. This manager defends the
 //! dataflow graph against both, per program, under a
-//! [`ReplicationPolicy`]:
+//! [`ReplicationPolicy`](sdvm_types::ReplicationPolicy):
 //!
 //! - **Vote mode** (`Replicate { k, .. }`): a frame's home site keeps
 //!   the executable frame in *escrow* and dispatches `k` tagged copies

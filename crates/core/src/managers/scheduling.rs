@@ -16,7 +16,7 @@ use crate::telemetry::trace_id_of;
 use crate::thread::ThreadFn;
 use crate::trace::TraceEvent;
 use parking_lot::{Condvar, Mutex};
-use sdvm_types::{ManagerId, Priority, QueuePolicy, SdvmResult};
+use sdvm_types::{ManagerId, QueuePolicy, SdvmResult};
 use sdvm_wire::{Payload, SdMessage, TraceContext};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -85,36 +85,14 @@ pub struct SchedulingManager {
 }
 
 fn pop_frame(q: &mut VecDeque<Microframe>, policy: QueuePolicy) -> Option<Microframe> {
-    match policy {
-        QueuePolicy::Fifo => q.pop_front(),
-        QueuePolicy::Lifo => q.pop_back(),
-        QueuePolicy::Priority => {
-            let best = q
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, f)| (f.hint.priority, std::cmp::Reverse(*i)))?
-                .0;
-            q.remove(best)
-        }
-    }
+    policy.pop(q, |f| f.hint.priority)
 }
 
 fn pop_ready(
     q: &mut VecDeque<(Microframe, ThreadFn)>,
     policy: QueuePolicy,
 ) -> Option<(Microframe, ThreadFn)> {
-    match policy {
-        QueuePolicy::Fifo => q.pop_front(),
-        QueuePolicy::Lifo => q.pop_back(),
-        QueuePolicy::Priority => {
-            let best = q
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, (f, _))| (f.hint.priority, std::cmp::Reverse(*i)))?
-                .0;
-            q.remove(best)
-        }
-    }
+    policy.pop(q, |(f, _)| f.hint.priority)
 }
 
 /// Pop a frame to give away on a help request: prefer the executable
@@ -131,22 +109,12 @@ fn pop_for_help(
     policy: QueuePolicy,
     score: impl Fn(&Microframe) -> i32,
 ) -> Option<(Microframe, i32)> {
-    // Tiebreak key mirroring the plain pop order: FIFO prefers the
-    // oldest (smallest index), LIFO the newest, Priority the highest
-    // priority then the oldest.
-    fn tiebreak(policy: QueuePolicy, idx: usize, f: &Microframe) -> (Priority, i64) {
-        match policy {
-            QueuePolicy::Fifo => (Priority(0), -(idx as i64)),
-            QueuePolicy::Lifo => (Priority(0), idx as i64),
-            QueuePolicy::Priority => (f.hint.priority, -(idx as i64)),
-        }
-    }
     let best_exec = st
         .executable
         .iter()
         .enumerate()
         .filter(|(_, f)| !f.hint.sticky)
-        .max_by_key(|(i, f)| (score(f), tiebreak(policy, *i, f)))
+        .max_by_key(|(i, f)| (score(f), policy.rank(*i, f.hint.priority)))
         .map(|(i, f)| (i, score(f)));
     if let Some((idx, s)) = best_exec {
         return st.executable.remove(idx).map(|f| (f, s));
@@ -156,7 +124,7 @@ fn pop_for_help(
         .iter()
         .enumerate()
         .filter(|(_, (f, _))| !f.hint.sticky)
-        .max_by_key(|(i, (f, _))| (score(f), tiebreak(policy, *i, f)))
+        .max_by_key(|(i, (f, _))| (score(f), policy.rank(*i, f.hint.priority)))
         .map(|(i, (f, _))| (i, score(f)));
     if let Some((idx, s)) = best_ready {
         return st.ready.remove(idx).map(|(f, _)| (f, s));

@@ -184,7 +184,7 @@ impl SecurityManager {
     /// Encode, seal and frame an outgoing message for `dst` in one
     /// buffer: `[len u32 BE | envelope tag (+src/salt) | nonce | body |
     /// tag]`, with encryption applied in place. This is the transport's
-    /// zero-copy send path; [`SecurityManager::seal`] remains for
+    /// zero-copy send path; [`SecurityManager::seal_plain_record`] serves
     /// callers holding pre-serialized bytes.
     pub fn seal_frame(&self, site: &SiteInner, dst: SiteId, msg: &SdMessage) -> SdvmResult<Bytes> {
         let mut buf = begin_frame(self.frame_cap.load(Ordering::Relaxed));

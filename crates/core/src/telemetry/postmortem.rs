@@ -8,14 +8,13 @@
 //! `postmortem-<site>-<seq>.json` — the evidence an operator needs
 //! *after* the incident, captured at the moment it happened.
 //!
-//! The dump itself runs on a helper thread (via [`Task::Run`]), so the
+//! The dump itself runs on a helper thread (via `Task::Run`), so the
 //! emitting hot path pays one branch and one channel send; it is
 //! rate-limited and bounded in file count so a crash storm cannot fill
 //! the disk; and each file is written to a temp name and renamed, so a
 //! half-written postmortem is never observed.
 //!
 //! [`postmortem_dir`]: crate::config::SiteConfig::postmortem_dir
-//! [`Task::Run`]: crate::site::Task
 
 use crate::site::SiteInner;
 use crate::telemetry::export::json_escape;

@@ -9,7 +9,7 @@ use sdvm_core::{
     perfetto_trace_json, AppBuilder, InProcessCluster, SiteConfig, TraceEvent, TraceLog,
 };
 use sdvm_types::{SiteId, Value};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn membership_event(i: u32) -> TraceEvent {
     TraceEvent::SiteJoined {
@@ -124,6 +124,26 @@ fn migrated_frame_career_is_stitched_across_sites_by_trace_id() {
         assert_ne!(granter, adopter);
         let id = trace_id_of(frame);
 
+        // The migrated frame's `FrameExecuted` is emitted after its
+        // handler returns, so it can reach the bus after the program's
+        // result does: poll until it is there.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (events, executed_on) = loop {
+            let events = trace.timestamped();
+            let executed = events.iter().find_map(|b| match &b.event {
+                TraceEvent::FrameExecuted { site, frame: f, .. } if *f == frame => Some(*site),
+                _ => None,
+            });
+            if let Some(site) = executed {
+                break (events, site);
+            }
+            assert!(
+                Instant::now() < deadline,
+                "migrated frame was never executed"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        };
+
         // Career stitching: the frame was created on the granter's side
         // and executed on the adopter — two sites, one career.
         let created_on = events
@@ -133,13 +153,6 @@ fn migrated_frame_career_is_stitched_across_sites_by_trace_id() {
                 _ => None,
             })
             .expect("migrated frame has a creation event");
-        let executed_on = events
-            .iter()
-            .find_map(|b| match &b.event {
-                TraceEvent::FrameExecuted { site, frame: f, .. } if *f == frame => Some(*site),
-                _ => None,
-            })
-            .expect("migrated frame was executed");
         assert_eq!(executed_on, adopter, "adopter runs the migrated frame");
         assert_ne!(
             created_on, executed_on,

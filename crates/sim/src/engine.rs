@@ -1,11 +1,10 @@
 //! The simulation engine.
 
-use crate::coords::SimVivaldi;
 use crate::event::{Event, EventQueue};
 use crate::metrics::SimMetrics;
 use crate::model::SimConfig;
 use sdvm_cdag::{Cdag, CdagAnalysis};
-use sdvm_types::QueuePolicy;
+use sdvm_types::{pick_help_target, Candidate, QueuePolicy, VivaldiState};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Wire-size estimate of a migrating microframe (id, thread pointer,
@@ -75,7 +74,7 @@ struct SiteState {
     driver_free_at: f64,
     /// This site's Vivaldi coordinate, learned from help round-trips
     /// (the sim analogue of RTTs piggybacked on probes/heartbeats).
-    vivaldi: SimVivaldi,
+    vivaldi: VivaldiState,
     /// When the in-flight help request left, and to whom — one is
     /// outstanding at a time (`outstanding_help`).
     help_sent_at: f64,
@@ -139,7 +138,7 @@ impl Simulation {
                 sleep_started: 0.0,
                 slept: 0.0,
                 driver_free_at: 0.0,
-                vivaldi: SimVivaldi::default(),
+                vivaldi: VivaldiState::default(),
                 help_sent_at: 0.0,
                 help_target: 0,
             })
@@ -216,20 +215,6 @@ impl Simulation {
                 break;
             }
             self.handle(ev);
-        }
-        if std::env::var("SDVM_SIM_DEBUG_COORDS").is_ok() {
-            for (i, s) in self.sites.iter().enumerate() {
-                eprintln!(
-                    "site {i}: samples {} err {:.3} coord ({:.5},{:.5},{:.5}) h {:.5} conv {}",
-                    s.vivaldi.samples,
-                    s.vivaldi.err,
-                    s.vivaldi.coord.x,
-                    s.vivaldi.coord.y,
-                    s.vivaldi.coord.z,
-                    s.vivaldi.coord.h,
-                    s.vivaldi.converged()
-                );
-            }
         }
         self.completed = self.done == total;
         self.metrics.makespan = self.now;
@@ -363,7 +348,8 @@ impl Simulation {
 
     /// A help response (grant or can't-help) just arrived: the
     /// round-trip time is a latency sample for this site's Vivaldi
-    /// coordinate, exactly as the runtime samples probe/help RTTs.
+    /// coordinate, fed to the runtime's own update rule (in ms, its
+    /// unit) exactly as the runtime samples probe/help RTTs.
     fn note_help_rtt(&mut self, site: usize) {
         if !self.sites[site].outstanding_help {
             return;
@@ -374,10 +360,8 @@ impl Simulation {
             return;
         }
         self.metrics.help_rtt.push(rtt);
-        let (pc, pe) = (self.sites[peer].vivaldi.coord, self.sites[peer].vivaldi.err);
-        // Deterministic tie-break seed: the event counter never repeats.
-        let seed = ((site as u64) << 32) ^ (peer as u64) ^ self.metrics.events;
-        self.sites[site].vivaldi.observe(&pc, pe, rtt, seed);
+        let peer_coord = self.sites[peer].vivaldi.coord;
+        self.sites[site].vivaldi.observe(&peer_coord, rtt * 1e3);
     }
 
     fn handle(&mut self, ev: Event) {
@@ -476,19 +460,8 @@ impl Simulation {
     }
 
     fn pop_queue(&mut self, site: usize, policy: QueuePolicy) -> Option<usize> {
-        let q = &mut self.sites[site].queue;
-        match policy {
-            QueuePolicy::Fifo => q.pop_front(),
-            QueuePolicy::Lifo => q.pop_back(),
-            QueuePolicy::Priority => {
-                let best = q
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(i, &n)| (self.nodes[n].priority, std::cmp::Reverse(*i)))?
-                    .0;
-                q.remove(best)
-            }
-        }
+        let nodes = &self.nodes;
+        policy.pop(&mut self.sites[site].queue, |&n| nodes[n].priority)
     }
 
     fn open_task(&mut self, site: usize, node: usize) {
@@ -668,43 +641,24 @@ impl Simulation {
         if !s.queue.is_empty() || s.open >= self.cfg.slots {
             return; // got work meanwhile
         }
-        // Choose the busiest (deepest-queued) other site; when nobody is
-        // known to have spare work, rotate — uniformly, or (with
-        // proximity routing on and a converged coordinate) within the
-        // nearest few candidates, mirroring the runtime's
-        // `pick_help_target`.
+        // The runtime's help-target rule, with queue depth as busyness.
+        // Coordinates are withheld when proximity routing is off, which
+        // leaves the rule its uniform rotation.
         let me = site;
-        let mut candidates: Vec<usize> = (0..self.sites.len())
+        let mut candidates: Vec<Candidate<usize>> = (0..self.sites.len())
             .filter(|&i| i != me && self.sites[i].alive && self.sites[i].accepting)
+            .map(|i| {
+                let s = &self.sites[i];
+                let coord = self.cfg.proximity_routing.then_some(s.vivaldi.coord);
+                (i, s.queue.len() as u64, coord)
+            })
             .collect();
-        if candidates.is_empty() {
+        let mut rr = self.sites[me].rr;
+        let Some(target) = pick_help_target(&mut candidates, &self.sites[me].vivaldi, &mut rr)
+        else {
             return;
-        }
-        let busiest = candidates
-            .iter()
-            .copied()
-            .max_by_key(|&i| self.sites[i].queue.len())
-            .expect("non-empty");
-        let target = if self.sites[busiest].queue.is_empty() {
-            let pool = if self.cfg.proximity_routing && self.sites[me].vivaldi.converged() {
-                let my_v = self.sites[me].vivaldi.clone();
-                candidates.sort_by(|&a, &b| {
-                    let da = my_v.coord.predict(&self.sites[a].vivaldi.coord);
-                    let db = my_v.coord.predict(&self.sites[b].vivaldi.coord);
-                    da.partial_cmp(&db)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                candidates.len().min(3)
-            } else {
-                candidates.len()
-            };
-            let rr = self.sites[me].rr;
-            self.sites[me].rr = rr.wrapping_add(1);
-            candidates[rr % pool]
-        } else {
-            busiest
         };
+        self.sites[me].rr = rr;
         self.sites[me].outstanding_help = true;
         self.sites[me].help_sent_at = self.now;
         self.sites[me].help_target = target;

@@ -15,7 +15,9 @@
 //!   switch overhead and blocking remote reads — so latency *hiding* is
 //!   modelled, not just parallelism;
 //! - decentralized scheduling: idle sites send help requests (one frame
-//!   per grant), local FIFO / help-reply LIFO by default, configurable;
+//!   per grant), local FIFO / help-reply LIFO by default, configurable.
+//!   Queue order, help-target choice and the Vivaldi coordinate update
+//!   are the runtime's own code from `sdvm-types`, not a copy;
 //! - code distribution: first execution of a microthread on a site pays
 //!   a binary-fetch or compile-on-the-fly latency, then hits the cache;
 //! - dynamic membership: sites join and leave at configured virtual
@@ -27,13 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coords;
 pub mod engine;
 pub mod event;
 pub mod metrics;
 pub mod model;
 
-pub use coords::{SimCoord, SimVivaldi};
 pub use engine::Simulation;
 pub use metrics::SimMetrics;
 pub use model::{NetworkModel, PowerModel, SimConfig, SimSite, TaskCostModel};

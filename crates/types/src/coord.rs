@@ -10,7 +10,8 @@
 //! placement). No extra probe traffic is ever sent: samples come from
 //! request/response pairs that already flow (help requests, direct
 //! probes), and coordinates travel piggybacked on heartbeats and probe
-//! acks.
+//! acks. The simulator runs this same rule on its virtual-time help
+//! round trips.
 //!
 //! The update rule per sample (rtt in milliseconds, peer coordinate
 //! `xj` with confidence `ej`):
@@ -31,8 +32,6 @@
 //! [`VivaldiState::converged`] gate reflects exactly that bound, and
 //! routing falls back to uniform selection until it holds.
 
-use sdvm_wire::WireCoord;
-
 /// Confidence EWMA gain (Vivaldi's `ce`).
 const CE: f64 = 0.25;
 /// Displacement gain (Vivaldi's `cc`).
@@ -46,12 +45,55 @@ const CONVERGED_ERR: f64 = 0.5;
 /// Gain for the absolute-error EWMA exported as `sdvm_coord_error_ms`.
 const ABS_ERR_GAIN: f64 = 0.1;
 
+/// A Vivaldi network coordinate: a point in a 3-D Euclidean space plus
+/// a non-Euclidean *height* modelling the access-link delay. Sites
+/// gossip their coordinate on heartbeat and probe traffic; any receiver
+/// can then predict the RTT to a site it never measured as
+/// `|xa - xb| + ha + hb` (milliseconds). `err` is the sender's own
+/// confidence (relative fit error, 0 = perfect, starts at 1) so
+/// receivers can weigh how much to trust the prediction.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Coord {
+    /// Euclidean component, milliseconds.
+    pub x: f64,
+    /// Euclidean component, milliseconds.
+    pub y: f64,
+    /// Euclidean component, milliseconds.
+    pub z: f64,
+    /// Height (access-link delay), milliseconds, always >= 0.
+    pub h: f64,
+    /// Relative fit error in [0, 1+]; 1.0 = no confidence yet.
+    pub err: f64,
+}
+
+impl Coord {
+    /// The origin with no confidence: every site starts here.
+    pub fn origin() -> Self {
+        Coord {
+            x: 0.0,
+            y: 0.0,
+            z: 0.0,
+            h: 0.0,
+            err: 1.0,
+        }
+    }
+
+    /// Predicted RTT between two coordinates, in milliseconds:
+    /// Euclidean distance plus both heights.
+    pub fn predicted_rtt_ms(&self, other: &Coord) -> f64 {
+        let dx = self.x - other.x;
+        let dy = self.y - other.y;
+        let dz = self.z - other.z;
+        (dx * dx + dy * dy + dz * dz).sqrt() + self.h + other.h
+    }
+}
+
 /// This site's Vivaldi coordinate plus the bookkeeping the update rule
 /// and the telemetry gauge need. Cheap to copy under a lock.
 #[derive(Clone, Debug)]
 pub struct VivaldiState {
     /// Current coordinate (what gets gossiped).
-    pub coord: WireCoord,
+    pub coord: Coord,
     /// RTT samples absorbed so far.
     pub samples: u64,
     /// EWMA of the absolute prediction error, milliseconds (telemetry).
@@ -61,7 +103,7 @@ pub struct VivaldiState {
 impl Default for VivaldiState {
     fn default() -> Self {
         VivaldiState {
-            coord: WireCoord::origin(),
+            coord: Coord::origin(),
             samples: 0,
             abs_error_ms: 0.0,
         }
@@ -72,7 +114,7 @@ impl VivaldiState {
     /// Absorb one RTT measurement (milliseconds) against a peer at
     /// `peer` coordinate. RTTs that are zero, negative, NaN or absurd
     /// are dropped — a poisoned sample must not fling the coordinate.
-    pub fn observe(&mut self, peer: &WireCoord, rtt_ms: f64) {
+    pub fn observe(&mut self, peer: &Coord, rtt_ms: f64) {
         if !rtt_ms.is_finite() || rtt_ms <= 0.0 || rtt_ms > 120_000.0 {
             return;
         }
@@ -120,7 +162,7 @@ impl VivaldiState {
     }
 
     /// Predicted RTT (ms) from this site to a peer coordinate.
-    pub fn predict_ms(&self, peer: &WireCoord) -> f64 {
+    pub fn predict_ms(&self, peer: &Coord) -> f64 {
         self.coord.predicted_rtt_ms(peer)
     }
 }
@@ -141,6 +183,24 @@ fn unit_from_seed(seed: u64) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn predicted_rtt_is_distance_plus_heights() {
+        let a = Coord {
+            x: 3.0,
+            y: 0.0,
+            z: 4.0,
+            h: 0.5,
+            err: 0.2,
+        };
+        let b = Coord {
+            h: 0.25,
+            ..Coord::origin()
+        };
+        // |(3,0,4)| = 5, plus both heights.
+        assert!((a.predicted_rtt_ms(&b) - 5.75).abs() < 1e-12);
+        assert!((b.predicted_rtt_ms(&a) - 5.75).abs() < 1e-12);
+    }
 
     /// Two sites repeatedly measuring a stable RTT must converge to
     /// coordinates whose predicted distance matches it.
@@ -209,10 +269,10 @@ mod tests {
         let mut s = VivaldiState::default();
         assert!(!s.converged());
         let before = s.coord;
-        s.observe(&WireCoord::origin(), 0.0);
-        s.observe(&WireCoord::origin(), -5.0);
-        s.observe(&WireCoord::origin(), f64::NAN);
-        s.observe(&WireCoord::origin(), 1e9);
+        s.observe(&Coord::origin(), 0.0);
+        s.observe(&Coord::origin(), -5.0);
+        s.observe(&Coord::origin(), f64::NAN);
+        s.observe(&Coord::origin(), 1e9);
         assert_eq!(s.samples, 0);
         assert_eq!(s.coord, before);
     }
@@ -222,9 +282,9 @@ mod tests {
     fn height_stays_non_negative() {
         let mut s = VivaldiState::default();
         for i in 0..100 {
-            let peer = WireCoord {
+            let peer = Coord {
                 x: (i % 7) as f64,
-                ..WireCoord::origin()
+                ..Coord::origin()
             };
             s.observe(&peer, if i % 2 == 0 { 0.1 } else { 50.0 });
             assert!(s.coord.h >= 0.0, "height went negative at sample {i}");

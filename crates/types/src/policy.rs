@@ -6,7 +6,15 @@
 //! microframes to give to the processing manager or to other sites" as
 //! room for research — so both are configurable here, and E4
 //! (`policy_ablation`) measures the alternatives.
+//!
+//! The decisions themselves live here too, so the runtime and the
+//! simulator make them with one piece of code: [`QueuePolicy::pop`]
+//! orders every queue, and [`pick_help_target`] chooses whom an idle
+//! site asks for work.
 
+use crate::coord::{Coord, VivaldiState};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Scheduling priority attached to a microframe as a *scheduling hint*
@@ -69,6 +77,41 @@ pub enum QueuePolicy {
     Priority,
 }
 
+impl QueuePolicy {
+    /// Take the next item off `q`: Fifo the oldest, Lifo the newest (both
+    /// O(1)), Priority the item with the highest `key`, oldest among
+    /// equals. `key` is consulted only by Priority; it is generic so the
+    /// runtime's [`Priority`] hints and the simulator's i64 b-levels
+    /// share this one pop.
+    pub fn pop<T, K: Ord>(self, q: &mut VecDeque<T>, key: impl Fn(&T) -> K) -> Option<T> {
+        match self {
+            QueuePolicy::Fifo => q.pop_front(),
+            QueuePolicy::Lifo => q.pop_back(),
+            QueuePolicy::Priority => {
+                let best = q
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(i, t)| self.rank(*i, key(t)))?
+                    .0;
+                q.remove(best)
+            }
+        }
+    }
+
+    /// Rank of the item at queue position `idx` with priority `key` in
+    /// this discipline's order: [`QueuePolicy::pop`] takes the highest.
+    /// For callers that rank by another criterion first and fall back to
+    /// the queue order on ties (help grants ranked by locality).
+    pub fn rank<K: Ord>(self, idx: usize, key: K) -> (Option<K>, i64) {
+        let idx = idx as i64;
+        match self {
+            QueuePolicy::Fifo => (None, -idx),
+            QueuePolicy::Lifo => (None, idx),
+            QueuePolicy::Priority => (Some(key), -idx),
+        }
+    }
+}
+
 impl fmt::Display for QueuePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -77,6 +120,56 @@ impl fmt::Display for QueuePolicy {
             QueuePolicy::Priority => "priority",
         })
     }
+}
+
+/// A help-request candidate as the asking site sees it: `(site id,
+/// busyness, last gossiped coordinate)`.
+pub type Candidate<I> = (I, u64, Option<Coord>);
+
+/// Sort `candidates` nearest-first by the RTT `me` predicts to each;
+/// candidates without a coordinate rank last, ties go to the lower id.
+/// Returns `false` — leaving the order untouched — unless `me` has
+/// converged and at least one candidate has a coordinate; callers then
+/// keep their uniform selection.
+pub fn rank_by_proximity<I: Ord>(me: &VivaldiState, candidates: &mut [Candidate<I>]) -> bool {
+    if !me.converged() || !candidates.iter().any(|c| c.2.is_some()) {
+        return false;
+    }
+    let dist = |c: &Option<Coord>| c.as_ref().map_or(f64::INFINITY, |c| me.predict_ms(c));
+    candidates.sort_by(|a, b| {
+        dist(&a.2)
+            .partial_cmp(&dist(&b.2))
+            .unwrap_or(Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    true
+}
+
+/// Choose whom an idle site asks for work (paper §3.3). `candidates`
+/// are the eligible peers in ascending id order. The busiest wins if its
+/// busyness is above zero (the last of equal maxima). With no load
+/// signal the site rotates its counter `rr` over all candidates — or,
+/// once [`rank_by_proximity`] applies, over the nearest three: a close
+/// peer's reply arrives while a distant one's would still be in flight,
+/// and rotating keeps one close neighbour from absorbing every idle
+/// site's requests.
+pub fn pick_help_target<I: Ord + Copy>(
+    candidates: &mut [Candidate<I>],
+    me: &VivaldiState,
+    rr: &mut usize,
+) -> Option<I> {
+    let &(busiest, load, _) = candidates.iter().max_by_key(|c| c.1)?;
+    if load > 0 {
+        return Some(busiest);
+    }
+    let pool = if rank_by_proximity(me, candidates) {
+        candidates.len().min(3)
+    } else {
+        candidates.len()
+    };
+    let target = candidates[*rr % pool].0;
+    *rr = rr.wrapping_add(1);
+    Some(target)
 }
 
 /// The three concepts the paper discusses for creating unique logical site
@@ -269,6 +362,103 @@ mod tests {
             IdAllocStrategy::Modulo { servers: 4 }.to_string(),
             "modulo(4)"
         );
+    }
+
+    #[test]
+    fn queue_pop_order_per_policy() {
+        // Keys above i32::MAX: the simulator's b-levels can get there.
+        let big = i64::from(i32::MAX) + 1;
+        let pushed = [("a", 5), ("b", big), ("c", big), ("d", -1)];
+        let cases = [
+            (QueuePolicy::Fifo, ["a", "b", "c", "d"]),
+            (QueuePolicy::Lifo, ["d", "c", "b", "a"]),
+            (QueuePolicy::Priority, ["b", "c", "a", "d"]),
+        ];
+        for (policy, want) in cases {
+            let mut q: VecDeque<(&str, i64)> = pushed.into_iter().collect();
+            let got: Vec<&str> = std::iter::from_fn(|| policy.pop(&mut q, |t| t.1))
+                .map(|t| t.0)
+                .collect();
+            assert_eq!(got, want, "{policy}");
+        }
+    }
+
+    fn converged_at_origin() -> VivaldiState {
+        VivaldiState {
+            coord: Coord {
+                err: 0.1,
+                ..Coord::origin()
+            },
+            samples: 10,
+            abs_error_ms: 0.0,
+        }
+    }
+
+    fn at(x: f64) -> Option<Coord> {
+        Some(Coord {
+            x,
+            ..Coord::origin()
+        })
+    }
+
+    #[test]
+    fn busiest_wins_and_a_tie_goes_to_the_highest_id() {
+        let mut rr = 0;
+        let mut c = [(1u32, 3, None), (2, 7, None), (3, 7, None), (4, 0, None)];
+        let pick = pick_help_target(&mut c, &converged_at_origin(), &mut rr);
+        assert_eq!(pick, Some(3));
+        assert_eq!(rr, 0, "a load-driven pick leaves the rotation alone");
+    }
+
+    #[test]
+    fn zero_load_rotates_over_all_candidates() {
+        let me = VivaldiState::default();
+        let mut rr = 0;
+        let mut c: Vec<Candidate<u32>> = (1..=5).map(|i| (i, 0, at(f64::from(i)))).collect();
+        let picks: Vec<u32> = (0..6)
+            .map(|_| pick_help_target(&mut c, &me, &mut rr).unwrap())
+            .collect();
+        assert_eq!(picks, [1, 2, 3, 4, 5, 1]);
+        assert_eq!(pick_help_target::<u32>(&mut [], &me, &mut rr), None);
+    }
+
+    #[test]
+    fn nearest_three_pool_only_after_convergence() {
+        // Ids ascending, predicted distance descending: 5 is nearest.
+        let cands = || -> Vec<Candidate<u32>> {
+            (1..=5)
+                .map(|i| (i, 0, at(f64::from(10 * (6 - i)))))
+                .collect()
+        };
+        let run = |me: &VivaldiState| -> Vec<u32> {
+            let mut rr = 0;
+            (0..5)
+                .map(|_| pick_help_target(&mut cands(), me, &mut rr).unwrap())
+                .collect()
+        };
+        let warming_up = VivaldiState {
+            samples: 9,
+            ..converged_at_origin()
+        };
+        assert_eq!(run(&warming_up), [1, 2, 3, 4, 5]);
+        assert_eq!(run(&converged_at_origin()), [5, 4, 3, 5, 4]);
+    }
+
+    #[test]
+    fn coordless_candidates_rank_last() {
+        let me = converged_at_origin();
+        let mut c = [
+            (1u32, 0, None),
+            (2, 0, at(30.0)),
+            (3, 0, None),
+            (4, 0, at(20.0)),
+        ];
+        assert!(rank_by_proximity(&me, &mut c));
+        assert_eq!(c.map(|c| c.0), [4, 2, 1, 3]);
+        // Nobody gossiped a coordinate: order untouched, uniform fallback.
+        let mut c = [(2u32, 0, None), (1, 0, None)];
+        assert!(!rank_by_proximity(&me, &mut c));
+        assert_eq!(c.map(|c| c.0), [2, 1]);
     }
 
     #[test]

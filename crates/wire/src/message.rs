@@ -39,7 +39,7 @@ use sdvm_types::{ManagerId, SdvmResult, SiteId};
 /// help and targeting backup buddies at the leaver, so mixed clusters
 /// are fenced at the version byte; v9 = proximity routing — the
 /// `Heartbeat`, `ProbeRequest` and `ProbeAck` payloads grew an optional
-/// Vivaldi network coordinate (`WireCoord`: 3-D point + height + fit
+/// Vivaldi network coordinate (`Coord`: 3-D point + height + fit
 /// error) piggybacked on traffic that already flows, so sites learn
 /// pairwise RTT predictions without extra probes. A v8 daemon would
 /// mis-parse the extra option byte in every heartbeat, so mixed
