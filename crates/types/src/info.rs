@@ -17,9 +17,6 @@ pub struct SiteDescriptor {
     pub addr: PhysicalAddr,
     /// Platform (architecture + OS) id, for code distribution.
     pub platform: PlatformId,
-    /// Relative processing speed (1.0 = reference machine). Used by the
-    /// simulator and by load balancing on heterogeneous clusters.
-    pub speed: f64,
     /// Whether this site volunteered as a code distribution site (stores
     /// every microthread of every program it hears about).
     pub code_distribution: bool,
@@ -32,14 +29,13 @@ pub struct SiteDescriptor {
 }
 
 impl SiteDescriptor {
-    /// Descriptor with defaults: reference speed, not a code-distribution
-    /// site, first incarnation.
+    /// Descriptor with defaults: not a code-distribution site, first
+    /// incarnation.
     pub fn new(site: SiteId, addr: PhysicalAddr, platform: PlatformId) -> Self {
         Self {
             site,
             addr,
             platform,
-            speed: 1.0,
             code_distribution: false,
             incarnation: 1,
         }
@@ -121,7 +117,6 @@ mod tests {
     #[test]
     fn descriptor_defaults() {
         let d = SiteDescriptor::new(SiteId(1), PhysicalAddr::Mem(0), PlatformId(3));
-        assert_eq!(d.speed, 1.0);
         assert!(!d.code_distribution);
         assert_eq!(d.incarnation, 1, "sites start at incarnation 1");
     }

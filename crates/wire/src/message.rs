@@ -43,9 +43,12 @@ use sdvm_types::{ManagerId, SdvmResult, SiteId};
 /// error) piggybacked on traffic that already flows, so sites learn
 /// pairwise RTT predictions without extra probes. A v8 daemon would
 /// mis-parse the extra option byte in every heartbeat, so mixed
-/// clusters are fenced at the version byte.
+/// clusters are fenced at the version byte; v10 = the `SiteDescriptor`
+/// (sign-on, join and help-request gossip) lost its relative-speed
+/// `f64`, which no runtime decision read. A v9 daemon would read the
+/// next eight bytes as that speed and mis-parse the rest.
 /// Older frames are rejected loudly, not decoded best-effort.
-pub const WIRE_VERSION: u8 = 9;
+pub const WIRE_VERSION: u8 = 10;
 
 /// Causal trace context riding every [`SdMessage`] (wire v3).
 ///

@@ -35,7 +35,7 @@ fn golden_apply_result() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0903000307032a0000\
+        "0a03000307032a0000\
 0028020901080807060504030201",
         "ApplyResult wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -62,7 +62,7 @@ fn golden_traced_ping() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "090500010101070003ac02\
+        "0a0500010101070003ac02\
 5b01",
         "TraceContext wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -76,8 +76,9 @@ fn frames_of_every_earlier_version_are_rejected_loudly() {
     // misparse them (a payload tag read as trace-context bytes, memory
     // payloads that gained fields, batch records a v4 peer cannot open,
     // replication and drain gossip treated as unknown payloads, the
-    // coordinate's extra option byte), so a current daemon must refuse
-    // them at the version byte, not decode best-effort.
+    // coordinate's extra option byte, the descriptor's dropped speed), so
+    // a current daemon must refuse them at the version byte, not decode
+    // best-effort.
     let earlier = [
         // v2 put `src_incarnation` into the envelope.
         (1, "01030307032a0028020901080807060504030201"),
@@ -95,6 +96,8 @@ fn frames_of_every_earlier_version_are_rejected_loudly() {
         (7, "0703000307032a00000028020901080807060504030201"),
         // v9: Vivaldi network coordinates.
         (8, "0803000307032a00000028020901080807060504030201"),
+        // v10: the site descriptor without its speed.
+        (9, "0903000307032a00000028020901080807060504030201"),
     ];
     for (version, frame) in earlier {
         let err = SdMessage::from_bytes(&unhex(frame)).unwrap_err();
@@ -124,7 +127,7 @@ fn golden_replica_invalidate() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0902000306030b0000\
+        "0a02000306030b0000\
 00330209ac02",
         "ReplicaInvalidate wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -154,7 +157,7 @@ fn golden_help_request() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0905000101010700000014020501\
+        "0a05000101010700000014020501\
 80080300",
         "HelpRequest wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -175,7 +178,7 @@ fn golden_ping_reply() {
     let bytes = reply.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0902000801086501640000\
+        "0a02000801086501640000\
 5cff01",
         "Pong wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -199,7 +202,7 @@ fn golden_suspect_site() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "090100060206090000\
+        "0a0100060206090000\
 000c0403",
         "SuspectSite wire encoding changed — bump WIRE_VERSION if intentional"
     );

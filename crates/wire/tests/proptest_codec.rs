@@ -38,16 +38,14 @@ fn arb_descriptor() -> impl Strategy<Value = SiteDescriptor> {
         arb_site(),
         arb_physical(),
         any::<u16>(),
-        0.01f64..100.0,
         any::<bool>(),
         any::<u64>(),
     )
         .prop_map(
-            |(site, addr, platform, speed, code_distribution, incarnation)| SiteDescriptor {
+            |(site, addr, platform, code_distribution, incarnation)| SiteDescriptor {
                 site,
                 addr,
                 platform: PlatformId(platform),
-                speed,
                 code_distribution,
                 incarnation,
             },
