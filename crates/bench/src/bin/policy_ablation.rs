@@ -32,7 +32,6 @@ fn run_case(name: &str, graph: sdvm_cdag::Cdag, sites: usize) {
             let mut cfg = cluster_config(sites);
             cfg.local_policy = local;
             cfg.help_policy = help;
-            cfg.use_hints = local == QueuePolicy::Priority || help == QueuePolicy::Priority;
             let m = Simulation::new(cfg, graph.clone()).run();
             println!(
                 "{:>10} {:>10} {:>11.3}s {:>10} {:>10}",

@@ -2,12 +2,13 @@
 //!
 //! Maintains the queue of *executable* microframes (all parameters
 //! present) and the queue of *ready* microframes (code pointer obtained
-//! from the code manager). Local scheduling defaults to FIFO (avoids
-//! starvation); answers to help requests default to LIFO (latency
-//! hiding); both are configurable, and the `priority` policy consumes the
-//! CDAG scheduling hints. When both queues are empty the site is idle and
-//! sends *help requests* to sites chosen by the cluster manager — this is
-//! the SDVM's fully decentralized scheduling.
+//! from the code manager). Local scheduling is FIFO (avoids starvation);
+//! answers to help requests are LIFO (latency hiding), as in the paper.
+//! The simulator's policy ablation (E4) varies both, including the
+//! `priority` policy that consumes the CDAG scheduling hints. When both
+//! queues are empty the site is idle and sends *help requests* to sites
+//! chosen by the cluster manager — this is the SDVM's fully
+//! decentralized scheduling.
 
 use crate::frame::{Microframe, ReplicaRun};
 use crate::managers::backup;
@@ -77,12 +78,17 @@ impl SchedState {
 pub struct SchedulingManager {
     state: Mutex<SchedState>,
     work_cond: Condvar,
-    local_policy: QueuePolicy,
-    help_policy: QueuePolicy,
     busy: AtomicU32,
     /// Rising epoch for load gossip.
     epoch: std::sync::atomic::AtomicU64,
 }
+
+/// Local scheduling discipline (paper: FIFO, against starvation).
+const LOCAL_POLICY: QueuePolicy = QueuePolicy::Fifo;
+
+/// Discipline used when answering help requests (paper: LIFO, for
+/// latency hiding).
+const HELP_POLICY: QueuePolicy = QueuePolicy::Lifo;
 
 fn pop_frame(q: &mut VecDeque<Microframe>, policy: QueuePolicy) -> Option<Microframe> {
     policy.pop(q, |f| f.hint.priority)
@@ -132,14 +138,18 @@ fn pop_for_help(
     None
 }
 
+impl Default for SchedulingManager {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SchedulingManager {
-    /// Build from the site config.
-    pub fn new(config: &crate::config::SiteConfig) -> Self {
+    /// Fresh manager.
+    pub fn new() -> Self {
         SchedulingManager {
             state: Mutex::new(SchedState::default()),
             work_cond: Condvar::new(),
-            local_policy: config.local_policy,
-            help_policy: config.help_policy,
             busy: AtomicU32::new(0),
             epoch: std::sync::atomic::AtomicU64::new(1),
         }
@@ -359,7 +369,7 @@ impl SchedulingManager {
             {
                 let mut st = self.state.lock();
                 st.promote_due(Instant::now());
-                if let Some(pair) = pop_ready(&mut st.ready, self.local_policy) {
+                if let Some(pair) = pop_ready(&mut st.ready, LOCAL_POLICY) {
                     if st.paused.contains(&pair.0.program()) {
                         st.parked.push(pair.0);
                         continue;
@@ -367,7 +377,7 @@ impl SchedulingManager {
                     return Some(pair);
                 }
                 // 2. Executable frame → obtain code (may block remotely).
-                if let Some(frame) = pop_frame(&mut st.executable, self.local_policy) {
+                if let Some(frame) = pop_frame(&mut st.executable, LOCAL_POLICY) {
                     if st.paused.contains(&frame.program()) {
                         st.parked.push(frame);
                         continue;
@@ -502,7 +512,7 @@ impl SchedulingManager {
                 {
                     None
                 } else {
-                    pop_for_help(&mut self.state.lock(), self.help_policy, |f| {
+                    pop_for_help(&mut self.state.lock(), HELP_POLICY, |f| {
                         site.memory.help_score(requester, f)
                     })
                 };
@@ -648,6 +658,12 @@ mod tests {
 
     fn queue(frames: Vec<Microframe>) -> VecDeque<Microframe> {
         frames.into_iter().collect()
+    }
+
+    #[test]
+    fn disciplines_match_paper() {
+        assert_eq!(LOCAL_POLICY, QueuePolicy::Fifo, "paper: FIFO locally");
+        assert_eq!(HELP_POLICY, QueuePolicy::Lifo, "paper: LIFO for help");
     }
 
     #[test]

@@ -183,10 +183,9 @@ fn render_postmortem(
     let c = &site.config;
     let _ = writeln!(
         out,
-        "  \"config\": {{\"slots\": {}, \"crash_tolerance\": {}, \"suspicion\": {}, \"heartbeat_interval_ms\": {}, \"suspect_timeout_ms\": {}, \"crash_timeout_ms\": {}, \"max_frame_retries\": {}, \"mem_shards\": {}}},",
+        "  \"config\": {{\"slots\": {}, \"crash_tolerance\": {}, \"heartbeat_interval_ms\": {}, \"suspect_timeout_ms\": {}, \"crash_timeout_ms\": {}, \"max_frame_retries\": {}, \"mem_shards\": {}}},",
         c.slots,
         c.crash_tolerance,
-        c.suspicion,
         c.heartbeat_interval.as_millis(),
         c.suspect_timeout.as_millis(),
         c.crash_timeout.as_millis(),

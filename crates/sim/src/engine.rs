@@ -101,7 +101,10 @@ impl Simulation {
     pub fn new(cfg: SimConfig, graph: Cdag) -> Self {
         assert!(!cfg.sites.is_empty(), "need at least one site");
         assert!(cfg.slots >= 1, "need at least one processing slot");
-        let priorities: Vec<i64> = if cfg.use_hints {
+        // Only the priority policy reads the key: the CDAG's b-levels.
+        let uses_hints =
+            cfg.local_policy == QueuePolicy::Priority || cfg.help_policy == QueuePolicy::Priority;
+        let priorities: Vec<i64> = if uses_hints {
             let a = CdagAnalysis::analyse(&graph).expect("acyclic CDAG");
             a.b_level.iter().map(|&b| b as i64).collect()
         } else {

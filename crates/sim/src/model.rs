@@ -177,9 +177,10 @@ pub struct SimConfig {
     pub cost: TaskCostModel,
     /// Processing slots per site (the paper's ~5).
     pub slots: usize,
-    /// Local queue policy (paper: FIFO).
+    /// Local queue policy (paper: FIFO). `Priority` pops by the CDAG's
+    /// b-levels, which are then computed once per run.
     pub local_policy: QueuePolicy,
-    /// Help-reply policy (paper: LIFO).
+    /// Help-reply policy (paper: LIFO); `Priority` as for `local_policy`.
     pub help_policy: QueuePolicy,
     /// Initial backoff after a fruitless help round (s); doubles up to
     /// 128x, resets when work arrives.
@@ -190,9 +191,6 @@ pub struct SimConfig {
     pub compile: f64,
     /// Crash detection delay before recovery begins (s).
     pub crash_detect: f64,
-    /// Use CDAG priorities when popping queues (QueuePolicy::Priority
-    /// consumes these).
-    pub use_hints: bool,
     /// Record per-site execution intervals (for timeline/Gantt output).
     /// Off by default: large runs produce many intervals.
     pub record_timeline: bool,
@@ -225,7 +223,6 @@ impl Default for SimConfig {
             binary_fetch: 2e-3,
             compile: 5e-2,
             crash_detect: 0.5,
-            use_hints: false,
             record_timeline: false,
             proximity_routing: false,
             net_drivers: 4,

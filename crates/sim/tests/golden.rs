@@ -100,7 +100,6 @@ fn policy_ablation_with_hints() {
         let mut cfg = cluster_config(4);
         cfg.local_policy = policy;
         cfg.help_policy = policy;
-        cfg.use_hints = true;
         check(
             &format!("policy {policy} with hints"),
             cfg,

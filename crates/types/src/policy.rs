@@ -4,8 +4,9 @@
 //! starvation) and a LIFO strategy for answering help requests (to hide
 //! communication latency), but explicitly leaves the decision "which
 //! microframes to give to the processing manager or to other sites" as
-//! room for research — so both are configurable here, and E4
-//! (`policy_ablation`) measures the alternatives.
+//! room for research. The runtime keeps the paper's pair; the simulator
+//! makes both configurable, and E4 (`policy_ablation`) measures the
+//! alternatives.
 //!
 //! The decisions themselves live here too, so the runtime and the
 //! simulator make them with one piece of code: [`QueuePolicy::pop`]

@@ -1,0 +1,103 @@
+//! Every knob has a row in DESIGN.md's "Configuration" table, and every
+//! row names a knob that exists. The struct patterns below list each
+//! field and end without `..`, so adding or removing a config field does
+//! not compile until this file (and then the table) follows.
+
+use sdvm::core::SiteConfig;
+use sdvm::sim::SimConfig;
+
+const DESIGN: &str = include_str!("../DESIGN.md");
+
+const ENV_VARS: [&str; 4] = [
+    "SDVM_TELEMETRY",
+    "SDVM_CHAOS_PLAN",
+    "SDVM_CHAOS_SEED",
+    "SDVM_BENCH_ITERS",
+];
+
+/// Destructure `<$ty>::default()` exhaustively and name each field as
+/// `"Type::field"`.
+macro_rules! knobs {
+    ($ty:ident { $($field:ident),* $(,)? }) => {{
+        let $ty { $($field: _),* } = $ty::default();
+        vec![$(concat!(stringify!($ty), "::", stringify!($field))),*]
+    }};
+}
+
+fn all_knobs() -> Vec<&'static str> {
+    let mut knobs = knobs!(SiteConfig {
+        platform,
+        slots,
+        password,
+        code_distribution,
+        compile_latency,
+        id_alloc,
+        crash_tolerance,
+        heartbeat_interval,
+        crash_timeout,
+        suspect_timeout,
+        help_timeout,
+        request_timeout,
+        max_frame_retries,
+        retry_backoff_base,
+        retry_backoff_cap,
+        stuck_timeout,
+        mem_shards,
+        replica_reads,
+        replica_ttl,
+        ops_addr,
+        postmortem_dir,
+    });
+    knobs.extend(knobs!(SimConfig {
+        sites,
+        net,
+        cost,
+        slots,
+        local_policy,
+        help_policy,
+        help_backoff,
+        binary_fetch,
+        compile,
+        crash_detect,
+        record_timeline,
+        proximity_routing,
+        net_drivers,
+        driver_service,
+    }));
+    knobs.extend(ENV_VARS);
+    knobs
+}
+
+/// The first cell of each row of the Configuration table, backticks
+/// stripped.
+fn table_rows() -> Vec<&'static str> {
+    let (_, section) = DESIGN
+        .split_once("## 10. Configuration")
+        .expect("DESIGN.md has a Configuration section");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split_once('`').map(|(knob, _)| knob))
+        .collect()
+}
+
+#[test]
+fn every_knob_has_exactly_one_row() {
+    let rows = table_rows();
+    for knob in all_knobs() {
+        let n = rows.iter().filter(|&&r| r == knob).count();
+        assert_eq!(n, 1, "{knob} needs exactly one row in DESIGN.md §10");
+    }
+}
+
+#[test]
+fn every_row_names_a_knob() {
+    let knobs = all_knobs();
+    for row in table_rows() {
+        assert!(
+            knobs.contains(&row),
+            "DESIGN.md §10 has a row for {row}, which is no knob"
+        );
+    }
+}
