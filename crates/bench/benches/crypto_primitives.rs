@@ -1,11 +1,26 @@
-//! Criterion: the v2 crypto hot path — wide ChaCha20 keystream, HMAC
-//! midstate reuse, in-place seal/open, and the amortization a batch
-//! record buys over per-record sealing.
+//! Criterion: the security manager's primitives — SHA-256, wide
+//! ChaCha20 keystream, HMAC midstate reuse, in-place seal/open, and the
+//! amortization a batch record buys over per-record sealing. The
+//! per-message cost the paper trades against trust (E5's microbenchmark
+//! side).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sdvm_crypto::chacha::ChaChaKey;
 use sdvm_crypto::hmac::{hmac_sha256, HmacKey};
+use sdvm_crypto::sha256::sha256;
 use sdvm_crypto::SecureChannel;
+
+fn bench_sha256(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sha256");
+    for size in [64usize, 1024, 16384] {
+        let data = vec![0xa5u8; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(format!("{size}"), |b| {
+            b.iter(|| sha256(std::hint::black_box(&data)))
+        });
+    }
+    g.finish();
+}
 
 fn bench_chacha_wide(c: &mut Criterion) {
     let mut g = c.benchmark_group("chacha20_keystream");
@@ -86,6 +101,7 @@ fn bench_batch_amortization(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_sha256,
     bench_chacha_wide,
     bench_hmac_midstate,
     bench_seal_open,

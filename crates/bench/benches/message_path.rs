@@ -1,17 +1,10 @@
 //! Criterion: the outbound message path — encode, (optionally) seal,
-//! frame — comparing the historical three-copy pipeline against the
-//! zero-copy single-buffer pipeline the transport now uses.
-//!
-//! Old path (three allocations + copies per message):
-//!   1. `SdMessage::to_bytes()`          → plaintext Vec
-//!   2. envelope + `KeyStore::seal_for`  → sealed Vec (copies plaintext)
-//!   3. `frame_bytes`                    → framed Bytes (copies sealed)
-//!
-//! New path (one allocation, encryption in place):
+//! frame — in the zero-copy single-buffer pipeline the transport uses
+//! (one allocation, encryption in place):
 //!   `begin_frame` → envelope header → `encode_into` →
 //!   `seal_for_in_place` → `finish_frame`
 //!
-//! The new path seeds `begin_frame` with a capacity hint learned from
+//! The path seeds `begin_frame` with a capacity hint learned from
 //! the previous frame, mirroring `SecurityManager::seal_frame` — a
 //! cold under-reserve pays growth reallocs that erase the copy savings.
 //!
@@ -24,7 +17,7 @@ use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use sdvm_crypto::{KeyStore, NONCE_PREFIX_LEN};
 use sdvm_types::{FileHandle, ManagerId, SiteId};
-use sdvm_wire::{begin_frame, finish_frame, frame_bytes, Payload, SdMessage, WireWriter};
+use sdvm_wire::{begin_frame, finish_frame, Payload, SdMessage, WireWriter};
 
 const TAG_PLAIN: u8 = 0;
 const TAG_PEER: u8 = 1;
@@ -46,15 +39,7 @@ fn sample_msg(dst: u32, payload_len: usize) -> SdMessage {
     )
 }
 
-fn old_plain(msg: &SdMessage) -> Bytes {
-    let plain = msg.to_bytes();
-    let mut env = Vec::with_capacity(1 + plain.len());
-    env.push(TAG_PLAIN);
-    env.extend_from_slice(&plain);
-    frame_bytes(&env).expect("frame")
-}
-
-fn new_plain(cap: &mut usize, msg: &SdMessage) -> Bytes {
+fn plain(cap: &mut usize, msg: &SdMessage) -> Bytes {
     let mut buf = begin_frame(*cap);
     buf.put_u8(TAG_PLAIN);
     let mut w = WireWriter::from_buf(buf);
@@ -64,17 +49,7 @@ fn new_plain(cap: &mut usize, msg: &SdMessage) -> Bytes {
     frame
 }
 
-fn old_sealed(ks: &mut KeyStore, dst: u32, msg: &SdMessage) -> Bytes {
-    let plain = msg.to_bytes();
-    let sealed = ks.seal_for(dst, &plain);
-    let mut env = Vec::with_capacity(5 + sealed.len());
-    env.push(TAG_PEER);
-    env.extend_from_slice(&1u32.to_le_bytes());
-    env.extend_from_slice(&sealed);
-    frame_bytes(&env).expect("frame")
-}
-
-fn new_sealed(cap: &mut usize, ks: &mut KeyStore, dst: u32, msg: &SdMessage) -> Bytes {
+fn sealed(cap: &mut usize, ks: &mut KeyStore, dst: u32, msg: &SdMessage) -> Bytes {
     let mut buf = begin_frame(*cap);
     buf.put_u8(TAG_PEER);
     buf.extend_from_slice(&1u32.to_le_bytes());
@@ -96,44 +71,24 @@ fn bench_message_path(c: &mut Criterion) {
         let msgs: Vec<SdMessage> = (1..=peers)
             .map(|d| sample_msg(d + 1, payload_len))
             .collect();
-        let frame_len = old_plain(&msgs[0]).len() as u64;
+        let mut cap = 128usize;
+        let frame_len = plain(&mut cap, &msgs[0]).len() as u64;
         g.throughput(Throughput::Bytes(frame_len * peers as u64));
 
-        g.bench_function(format!("plain/old/{peers}peer"), |b| {
+        g.bench_function(format!("plain/{peers}peer"), |b| {
             b.iter(|| {
                 for m in &msgs {
-                    black_box(old_plain(black_box(m)));
-                }
-            })
-        });
-        let mut cap = 128usize;
-        g.bench_function(format!("plain/new/{peers}peer"), |b| {
-            b.iter(|| {
-                for m in &msgs {
-                    black_box(new_plain(&mut cap, black_box(m)));
+                    black_box(plain(&mut cap, black_box(m)));
                 }
             })
         });
 
-        let mut ks_old = KeyStore::from_password(1, "bench-pw");
-        g.bench_function(format!("encrypted/old/{peers}peer"), |b| {
-            b.iter(|| {
-                for (i, m) in msgs.iter().enumerate() {
-                    black_box(old_sealed(&mut ks_old, i as u32 + 2, black_box(m)));
-                }
-            })
-        });
-        let mut ks_new = KeyStore::from_password(1, "bench-pw");
+        let mut ks = KeyStore::from_password(1, "bench-pw");
         let mut cap = 128usize;
-        g.bench_function(format!("encrypted/new/{peers}peer"), |b| {
+        g.bench_function(format!("encrypted/{peers}peer"), |b| {
             b.iter(|| {
                 for (i, m) in msgs.iter().enumerate() {
-                    black_box(new_sealed(
-                        &mut cap,
-                        &mut ks_new,
-                        i as u32 + 2,
-                        black_box(m),
-                    ));
+                    black_box(sealed(&mut cap, &mut ks, i as u32 + 2, black_box(m)));
                 }
             })
         });

@@ -21,7 +21,7 @@
 //! cargo run --release -p sdvm-bench --bin attraction_memory
 //! ```
 
-use sdvm_bench::rule;
+use sdvm_bench::{rule, Json, Report};
 use sdvm_core::{InProcessCluster, SiteConfig};
 use sdvm_types::{ProgramId, Value};
 use std::sync::Arc;
@@ -170,31 +170,22 @@ fn main() {
     println!("replica read speedup: {replica_speedup:.2}x   shard speedup: {shard_speedup:.2}x");
     rule(90);
 
-    let mut json = String::from("{\n  \"bench\": \"attraction_memory\",\n");
-    json.push_str(&format!("  \"read_rounds\": {READ_ROUNDS},\n"));
-    json.push_str(&format!("  \"write_every\": {WRITE_EVERY},\n"));
-    json.push_str(&format!("  \"local_threads\": {LOCAL_THREADS},\n"));
-    json.push_str(&format!(
-        "  \"replica_read_speedup\": {replica_speedup:.2},\n"
-    ));
-    json.push_str(&format!("  \"shard_speedup\": {shard_speedup:.2},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let contention = r
-            .contention
-            .map(|c| format!(", \"shard_contention\": {c}"))
-            .unwrap_or_default();
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ops_per_sec\": {:.1}, \"ns_per_op\": {:.1}{}}}{}\n",
-            r.name,
-            r.ops_per_sec,
-            r.ns_per_op,
-            contention,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_attraction_memory.json", &json)
-        .expect("write BENCH_attraction_memory.json");
+    let rows = results.iter().map(|r| {
+        let mut row = vec![
+            ("name", Json::str(&r.name)),
+            ("ops_per_sec", Json::num(r.ops_per_sec, 1)),
+            ("ns_per_op", Json::num(r.ns_per_op, 1)),
+        ];
+        row.extend(r.contention.map(|c| ("shard_contention", Json::from(c))));
+        Json::obj(row)
+    });
+    Report::new("attraction_memory")
+        .set("read_rounds", READ_ROUNDS)
+        .set("write_every", WRITE_EVERY)
+        .set("local_threads", LOCAL_THREADS)
+        .set("replica_read_speedup", Json::num(replica_speedup, 2))
+        .set("shard_speedup", Json::num(shard_speedup, 2))
+        .set("results", Json::rows(rows))
+        .write("BENCH_attraction_memory.json");
     println!("wrote BENCH_attraction_memory.json");
 }

@@ -23,6 +23,7 @@
 //! ```
 
 use sdvm_apps::primes::PrimesProgram;
+use sdvm_bench::{Json, Report};
 use sdvm_core::{InProcessCluster, SiteConfig};
 use sdvm_types::{ProgramId, Value};
 use std::time::{Duration, Instant};
@@ -147,22 +148,24 @@ fn main() {
         .wait(Duration::from_secs(120))
         .expect("program finishes after both checkpoints");
 
-    let mut json = String::from("{\n  \"bench\": \"drain_makespan\",\n  \"drain\": [\n");
-    for (i, (n, ms, relocated)) in drains.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"objects\": {n}, \"drain_ms\": {ms:.1}, \"relocated\": {relocated}}}{}\n",
-            if i + 1 < drains.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"checkpoint\": {\n");
-    json.push_str(&format!(
-        "    \"full_pause_ms\": {full_pause_ms:.1},\n    \"incremental_wall_ms\": {incr_wall_ms:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"incremental_worst_block_us\": {worst_block_us},\n    \"block_budget_us\": {BLOCK_BUDGET_US}\n  }},\n"
-    ));
-    json.push_str(&format!("  \"pass\": {pass}\n}}\n"));
-    std::fs::write("BENCH_drain.json", &json).expect("write BENCH_drain.json");
+    let drains = drains.iter().map(|&(n, ms, relocated)| {
+        Json::obj([
+            ("objects", Json::from(n)),
+            ("drain_ms", Json::num(ms, 1)),
+            ("relocated", Json::from(relocated)),
+        ])
+    });
+    let checkpoint = Json::obj([
+        ("full_pause_ms", Json::num(full_pause_ms, 1)),
+        ("incremental_wall_ms", Json::num(incr_wall_ms, 1)),
+        ("incremental_worst_block_us", Json::from(worst_block_us)),
+        ("block_budget_us", Json::from(BLOCK_BUDGET_US)),
+    ]);
+    Report::new("drain_makespan")
+        .set("drain", Json::rows(drains))
+        .set("checkpoint", checkpoint)
+        .set("pass", pass)
+        .write("BENCH_drain.json");
     println!("wrote BENCH_drain.json");
     assert!(
         pass,

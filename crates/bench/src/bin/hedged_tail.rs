@@ -16,7 +16,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config structs are built by mutation by design
 
-use sdvm_bench::rule;
+use sdvm_bench::{rule, Json, Report};
 use sdvm_core::{
     AppBuilder, ExecCtx, InProcessCluster, ProgramHandle, ReplicaSelector, ReplicationPolicy,
     SiteConfig,
@@ -208,29 +208,23 @@ fn main() {
     }
     rule(76);
 
-    let mut json = String::from("{\n  \"bench\": \"hedged_tail\",\n");
-    json.push_str(&format!("  \"sites\": {SITES},\n"));
-    json.push_str(&format!("  \"frames\": {FRAMES},\n"));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!("  \"base_ms\": {BASE_MS},\n"));
-    json.push_str(&format!("  \"slow_ms\": {SLOW_MS},\n"));
-    json.push_str(&format!("  \"hedge_delay_ms\": {HEDGE_DELAY_MS},\n"));
+    let mut report = Report::new("hedged_tail");
+    report
+        .set("sites", SITES)
+        .set("frames", FRAMES)
+        .set("iters", iters)
+        .set("base_ms", BASE_MS)
+        .set("slow_ms", SLOW_MS)
+        .set("hedge_delay_ms", HEDGE_DELAY_MS);
     for (name, p50, p99, p999) in &tails {
-        json.push_str(&format!(
-            "  \"{name}\": {{ \"p50_ms\": {p50:.1}, \"p99_ms\": {p99:.1}, \"p999_ms\": {p999:.1} }},\n"
-        ));
+        let tail = [("p50_ms", *p50), ("p99_ms", *p99), ("p999_ms", *p999)];
+        report.set(name, Json::obj(tail.map(|(k, v)| (k, Json::num(v, 1)))));
     }
-    json.push_str(&format!("  \"hedges_fired\": {},\n", hedge_counters.0));
-    json.push_str(&format!("  \"hedge_wins\": {},\n", hedge_counters.1));
-    json.push_str(&format!(
-        "  \"overhead_factor_k2\": {:.3},\n",
-        medians[1].1 / base
-    ));
-    json.push_str(&format!(
-        "  \"overhead_factor_k3\": {:.3}\n",
-        medians[2].1 / base
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_hedge.json", &json).expect("write BENCH_hedge.json");
+    report
+        .set("hedges_fired", hedge_counters.0)
+        .set("hedge_wins", hedge_counters.1)
+        .set("overhead_factor_k2", Json::num(medians[1].1 / base, 3))
+        .set("overhead_factor_k3", Json::num(medians[2].1 / base, 3))
+        .write("BENCH_hedge.json");
     println!("wrote BENCH_hedge.json");
 }

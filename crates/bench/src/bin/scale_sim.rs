@@ -28,7 +28,7 @@
 //! cargo run --release -p sdvm-bench --bin scale_sim
 //! ```
 
-use sdvm_bench::rule;
+use sdvm_bench::{rule, Json, Report};
 use sdvm_cdag::generators::{fork_join, iterative_fork_join};
 use sdvm_sim::{SimConfig, SimMetrics, SimSite, Simulation};
 
@@ -81,7 +81,7 @@ fn island_sites(islands: usize, per_island: usize) -> Vec<SimSite> {
 }
 
 fn main() {
-    let mut json = String::from("{\n  \"bench\": \"scale_sim\",\n");
+    let mut report = Report::new("scale_sim");
     let mut pass = true;
 
     // ---- 1. Table-1 shape with the driver-capacity model on --------
@@ -94,8 +94,8 @@ fn main() {
     );
     let small_graph = fork_join(0, 512, WORKER_COST, 100);
     let t1 = run(capacity_cfg(1), small_graph.clone()).makespan;
-    json.push_str("  \"table1_shape\": [\n");
     let mut small_rows = Vec::new();
+    let mut json_rows = Vec::new();
     for &n in &[1usize, 2, 4, 8] {
         let m = run(capacity_cfg(n), small_graph.clone());
         let s = t1 / m.makespan;
@@ -108,16 +108,14 @@ fn main() {
             eff * 100.0
         );
         small_rows.push((n, s));
-        json.push_str(&format!(
-            "    {{\"sites\": {}, \"makespan_s\": {:.4}, \"speedup\": {:.3}, \"efficiency\": {:.3}}}{}\n",
-            n,
-            m.makespan,
-            s,
-            eff,
-            if n == 8 { "" } else { "," }
-        ));
+        json_rows.push(Json::obj([
+            ("sites", Json::from(n)),
+            ("makespan_s", Json::num(m.makespan, 4)),
+            ("speedup", Json::num(s, 3)),
+            ("efficiency", Json::num(eff, 3)),
+        ]));
     }
-    json.push_str("  ],\n");
+    report.set("table1_shape", Json::rows(json_rows));
     let s2 = small_rows[1].1;
     let s4 = small_rows[2].1;
     let s8 = small_rows[3].1;
@@ -136,8 +134,8 @@ fn main() {
     );
     let wide_graph = fork_join(0, 8000, WORKER_COST, 100);
     let t1_wide = run(capacity_cfg(1), wide_graph.clone()).makespan;
-    json.push_str("  \"scale\": [\n");
     let mut scale_rows = Vec::new();
+    let mut json_rows = Vec::new();
     for &n in &[250usize, 500, 1000] {
         let m = run(capacity_cfg(n), wide_graph.clone());
         let s = t1_wide / m.makespan;
@@ -146,16 +144,14 @@ fn main() {
             n, m.makespan, s, m.driver_queueing
         );
         scale_rows.push((n, s, m.driver_queueing));
-        json.push_str(&format!(
-            "    {{\"sites\": {}, \"makespan_s\": {:.4}, \"speedup\": {:.2}, \"driver_queueing_s\": {:.4}}}{}\n",
-            n,
-            m.makespan,
-            s,
-            m.driver_queueing,
-            if n == 1000 { "" } else { "," }
-        ));
+        json_rows.push(Json::obj([
+            ("sites", Json::from(n)),
+            ("makespan_s", Json::num(m.makespan, 4)),
+            ("speedup", Json::num(s, 2)),
+            ("driver_queueing_s", Json::num(m.driver_queueing, 4)),
+        ]));
     }
-    json.push_str("  ],\n");
+    report.set("scale", Json::rows(json_rows));
     let (s250, s500, s1000) = (scale_rows[0].1, scale_rows[1].1, scale_rows[2].1);
     let monotone = s250 < s500 && s500 < s1000;
     let sublinear = s1000 < 1000.0 && s500 < 500.0 && s250 < 250.0;
@@ -172,9 +168,16 @@ fn main() {
     let q1 = m1d.driver_queueing;
     let capacity_ok = q1 > q4;
     println!("  driver capacity: queueing 1 poller {q1:.4}s vs {NET_DRIVERS} pollers {q4:.4}s → {capacity_ok}");
-    json.push_str(&format!(
-        "  \"driver_capacity\": {{\"queueing_1_poller_s\": {q1:.4}, \"queueing_{NET_DRIVERS}_pollers_s\": {q4:.4}}},\n"
-    ));
+    report.set(
+        "driver_capacity",
+        Json::obj([
+            ("queueing_1_poller_s".to_string(), Json::num(q1, 4)),
+            (
+                format!("queueing_{NET_DRIVERS}_pollers_s"),
+                Json::num(q4, 4),
+            ),
+        ]),
+    );
     pass &= capacity_ok;
 
     // ---- 3. Proximity vs uniform help routing at 1000 sites --------
@@ -227,22 +230,21 @@ fn main() {
     };
     let prox_ok = ratio < 0.5 && enough_samples;
     println!("  proximity gate (steady-state median <0.5x uniform, >1000 samples each): {prox_ok} (ratio {ratio:.2})");
-    json.push_str(&format!(
-        "  \"proximity\": {{\"uniform_median_ms\": {:.4}, \"proximity_median_ms\": {:.4}, \
-         \"uniform_steady_ms\": {:.4}, \"proximity_steady_ms\": {:.4}, \"steady_ratio\": {:.3}, \
-         \"uniform_samples\": {}, \"proximity_samples\": {}}},\n",
-        uni_med * 1e3,
-        prox_med * 1e3,
-        uni_steady * 1e3,
-        prox_steady * 1e3,
-        ratio,
-        uni_n,
-        prox_n
-    ));
+    report.set(
+        "proximity",
+        Json::obj([
+            ("uniform_median_ms", Json::num(uni_med * 1e3, 4)),
+            ("proximity_median_ms", Json::num(prox_med * 1e3, 4)),
+            ("uniform_steady_ms", Json::num(uni_steady * 1e3, 4)),
+            ("proximity_steady_ms", Json::num(prox_steady * 1e3, 4)),
+            ("steady_ratio", Json::num(ratio, 3)),
+            ("uniform_samples", Json::from(uni_n)),
+            ("proximity_samples", Json::from(prox_n)),
+        ]),
+    );
     pass &= prox_ok;
 
-    json.push_str(&format!("  \"pass\": {pass}\n}}\n"));
-    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
+    report.set("pass", pass).write("BENCH_scale.json");
     rule(72);
     println!("wrote BENCH_scale.json (pass={pass})");
     assert!(

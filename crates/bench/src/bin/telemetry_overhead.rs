@@ -1,11 +1,9 @@
 //! Telemetry overhead on the message hot path, machine-readable.
 //!
-//! PR 1 established the outbound pipeline cost (`BENCH_message_path.json`,
-//! encrypted zero-copy seal ≈ µs/msg). PR 3 adds per-message telemetry:
-//! seal timing into the metrics registry, a `Metrics::observe` of the
-//! outgoing hop, and a ring-buffer event-bus emit. This bench measures
-//! the same sealed encode path bare (the PR 1 baseline) and with the
-//! telemetry layer in its three configurations — metrics only (the
+//! Per-message telemetry is seal timing into the metrics registry, a
+//! `Metrics::observe` of the outgoing hop, and a ring-buffer event-bus
+//! emit. This bench measures the zero-copy sealed encode path bare (the
+//! baseline) and with the telemetry layer in its three configurations — metrics only (the
 //! always-on floor, what a `TraceLog`-less site pays), bus filtered off
 //! (`SDVM_TELEMETRY=off`), and everything on — and writes
 //! `BENCH_telemetry_overhead.json` with the relative overhead.
@@ -21,21 +19,15 @@
 //! an explicit opt-in priced separately below, like running with a
 //! profiler attached; it is reported, not gated.
 //!
-//! The denominator is the recorded `message_path` number for the
-//! per-frame sealed path (`encrypted/new/1peer` in
-//! `BENCH_message_path.json`): the recorded reference keeps the gate
-//! stable across runs, where a live re-measured denominator would make
-//! it flap with scheduler and thermal jitter. The live baseline is
-//! still measured and reported so drift from the recorded number stays
-//! visible. Without the reference file the live baseline is the
-//! denominator.
+//! The denominator is the live baseline: the best of five interleaved
+//! rounds of the bare sealed path, measured in the same process.
 //!
 //! ```text
 //! cargo run --release -p sdvm-bench --bin telemetry_overhead
 //! ```
 
 use bytes::Bytes;
-use sdvm_bench::rule;
+use sdvm_bench::{rule, Json, Report};
 use sdvm_core::telemetry::Metrics;
 use sdvm_core::{TraceEvent, TraceLog};
 use sdvm_crypto::{KeyStore, NONCE_PREFIX_LEN};
@@ -64,7 +56,7 @@ fn sample_msg(dst: u32) -> SdMessage {
     )
 }
 
-/// The PR 1 zero-copy sealed encode path, verbatim.
+/// The zero-copy sealed encode path: one buffer, sealed in place.
 fn seal(cap: &mut usize, ks: &mut KeyStore, dst: u32, msg: &SdMessage) -> Bytes {
     let mut buf = begin_frame(*cap);
     buf.put_u8(TAG_PEER);
@@ -106,21 +98,6 @@ fn send_telemetry(metrics: &Metrics, bus: &TraceLog, t0: Instant, t1: Instant) {
     bus.emit_pair_at(ev0, t0, ev1, t1);
 }
 
-/// The PR 1 recorded cost of this exact path: `encrypted/new/1peer`
-/// from `BENCH_message_path.json`, extracted with a plain string scan
-/// (the repo carries no JSON dependency).
-fn pr1_reference_ns() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_message_path.json").ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"encrypted/new/1peer\""))?;
-    let rest = line.split("\"ns_per_msg\":").nth(1)?;
-    rest.trim()
-        .trim_end_matches(['}', ',', ' '])
-        .parse::<f64>()
-        .ok()
-}
-
 fn measure_once(step: &mut impl FnMut()) -> f64 {
     for _ in 0..64 {
         step();
@@ -137,7 +114,7 @@ fn measure_once(step: &mut impl FnMut()) -> f64 {
 }
 
 fn main() {
-    println!("telemetry overhead on the sealed message path (vs PR 1 baseline)");
+    println!("telemetry overhead on the sealed message path (vs the bare seal)");
     rule(78);
     let msg = sample_msg(2);
 
@@ -145,7 +122,7 @@ fn main() {
     // runtime adds around one sealed outbound message.
     let mut ks0 = KeyStore::from_password(1, "bench-pw");
     let mut cap0 = 128usize;
-    // PR 1 baseline: seal only, no telemetry anywhere.
+    // Baseline: seal only, no telemetry anywhere.
     let mut baseline_step = || {
         std::hint::black_box(seal(&mut cap0, &mut ks0, 2, &msg));
     };
@@ -260,37 +237,26 @@ fn main() {
     );
     println!("     floor_ops_alone: {floor_ops:>8.1} ns/msg  (always-on, drain-sealed path)");
     // The gate: the unconditional per-message telemetry relative to the
-    // recorded message cost (live baseline when no reference file).
-    let (reference, ref_src) = match pr1_reference_ns() {
-        Some(ns) => (ns, "recorded encrypted/new/1peer"),
-        None => (baseline, "live baseline"),
-    };
-    let overhead_percent = floor_ops / reference * 100.0;
+    // live baseline.
+    let overhead_percent = floor_ops / baseline * 100.0;
     let pass = overhead_percent < 5.0;
     rule(78);
     println!(
-        "always-on telemetry: {floor_ops:.0} ns on a {reference:.0} ns message ({ref_src}) = {overhead_percent:.2}% ({}); full capture costs {capture_ops:.0} ns/msg on top when explicitly enabled",
+        "always-on telemetry: {floor_ops:.0} ns on a {baseline:.0} ns message (live baseline) = {overhead_percent:.2}% ({}); full capture costs {capture_ops:.0} ns/msg on top when explicitly enabled",
         if pass { "PASS, < 5%" } else { "FAIL, >= 5%" }
     );
 
-    let mut json = String::from("{\n  \"bench\": \"telemetry_overhead\",\n");
-    json.push_str(&format!("  \"payload_bytes\": {PAYLOAD_LEN},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, (name, ns)) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"ns_per_msg\": {ns:.1}}}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"reference_ns_per_msg\": {reference:.1},\n  \"reference\": \"{ref_src}\",\n"
-    ));
-    json.push_str(&format!(
-        "  \"overhead_percent\": {overhead_percent:.2},\n  \"pass\": {pass}\n}}\n"
-    ));
-    std::fs::write("BENCH_telemetry_overhead.json", &json)
-        .expect("write BENCH_telemetry_overhead.json");
+    let rows = results.iter().map(|(name, ns)| {
+        Json::obj([("name", Json::str(name)), ("ns_per_msg", Json::num(*ns, 1))])
+    });
+    Report::new("telemetry_overhead")
+        .set("payload_bytes", PAYLOAD_LEN)
+        .set("results", Json::rows(rows))
+        .set("reference_ns_per_msg", Json::num(baseline, 1))
+        .set("reference", Json::str("live baseline"))
+        .set("overhead_percent", Json::num(overhead_percent, 2))
+        .set("pass", pass)
+        .write("BENCH_telemetry_overhead.json");
     println!("wrote BENCH_telemetry_overhead.json");
     assert!(pass, "telemetry overhead must stay below 5%");
 }

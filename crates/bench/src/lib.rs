@@ -1,10 +1,14 @@
 //! Shared harness code for the experiment binaries: the calibrated cost
-//! model tying the simulator to the paper's Pentium-IV testbed, and
-//! small table-printing helpers.
+//! model tying the simulator to the paper's Pentium-IV testbed, small
+//! table-printing helpers, and the writer of the `BENCH_*.json` reports.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (or one ablation DESIGN.md calls out); see DESIGN.md §3 for the
-//! index and EXPERIMENTS.md for paper-vs-measured numbers.
+//! The `paper` binary regenerates every table and figure of the paper,
+//! one subcommand per experiment (`paper e1` … `paper e13`, `paper e7b`,
+//! `paper f4`; `paper sim` runs the purely simulated ones); see
+//! DESIGN.md §3 for the index and EXPERIMENTS.md for paper-vs-measured
+//! numbers. The other binaries each gate one design claim of this
+//! reproduction: `scale_sim`, `telemetry_overhead`, `drain_makespan`,
+//! `hedged_tail` and `attraction_memory`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,6 +74,86 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
+/// One value of a `BENCH_*.json` report, already rendered.
+#[derive(Clone, Debug)]
+pub struct Json(String);
+
+impl Json {
+    /// A number with `decimals` digits after the point.
+    pub fn num(v: f64, decimals: usize) -> Json {
+        Json(format!("{v:.decimals$}"))
+    }
+
+    /// A string (names and labels: Rust's escaping matches JSON's for
+    /// printable text).
+    pub fn str(s: &str) -> Json {
+        Json(format!("{s:?}"))
+    }
+
+    /// An object on one line: `{"key": value, ...}`.
+    pub fn obj<K: AsRef<str>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        let fields: Vec<String> = fields
+            .into_iter()
+            .map(|(k, v)| format!("{:?}: {}", k.as_ref(), v.0))
+            .collect();
+        Json(format!("{{{}}}", fields.join(", ")))
+    }
+
+    /// An array of a top-level field, one element per line.
+    pub fn rows(rows: impl IntoIterator<Item = Json>) -> Json {
+        let rows: Vec<String> = rows.into_iter().map(|r| format!("    {}", r.0)).collect();
+        Json(format!("[\n{}\n  ]", rows.join(",\n")))
+    }
+}
+
+macro_rules! json_from_display {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json(v.to_string())
+            }
+        }
+    )*};
+}
+json_from_display!(bool, u64, u128, usize);
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or_else(|| Json("null".into()), Into::into)
+    }
+}
+
+/// A `BENCH_*.json` report: one top-level object, one field per line.
+#[derive(Debug)]
+pub struct Report(Vec<(String, Json)>);
+
+impl Report {
+    /// A report whose first field is `"bench": "<bench>"`.
+    pub fn new(bench: &str) -> Report {
+        Report(vec![("bench".into(), Json::str(bench))])
+    }
+
+    /// Append a field.
+    pub fn set(&mut self, key: impl Into<String>, value: impl Into<Json>) -> &mut Report {
+        self.0.push((key.into(), value.into()));
+        self
+    }
+
+    fn render(&self) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("  {k:?}: {}", v.0))
+            .collect();
+        format!("{{\n{}\n}}\n", fields.join(",\n"))
+    }
+
+    /// Write the report to `path`.
+    pub fn write(&self, path: &str) {
+        std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +178,25 @@ mod tests {
         // Paper: 207.0 / 33.9 ≈ 6.1.
         assert!((ratio - 6.1).abs() < 1.2, "p-scaling ratio {ratio}");
         let _ = nth_prime(10);
+    }
+
+    #[test]
+    fn report_layout() {
+        let mut r = Report::new("demo");
+        r.set(
+            "rows",
+            Json::rows([
+                Json::obj([("n", Json::from(1u64)), ("t", Json::num(0.5, 2))]),
+                Json::obj([("n", Json::from(2u64)), ("t", Json::num(1.0, 2))]),
+            ]),
+        )
+        .set("ms", None::<u64>)
+        .set("pass", true);
+        assert_eq!(
+            r.render(),
+            "{\n  \"bench\": \"demo\",\n  \"rows\": [\n    {\"n\": 1, \"t\": 0.50},\n    \
+             {\"n\": 2, \"t\": 1.00}\n  ],\n  \"ms\": null,\n  \"pass\": true\n}\n"
+        );
     }
 
     #[test]

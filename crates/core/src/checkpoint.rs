@@ -24,7 +24,7 @@ use crate::site::Site;
 use crate::thread::RESULT_THREAD_INDEX;
 use bytes::Bytes;
 use sdvm_types::{GlobalAddress, ManagerId, ProgramId, SdvmError, SdvmResult};
-use sdvm_wire::{Decode, Encode, Payload, WireFrame, WireMemObject, WireReader, WireWriter};
+use sdvm_wire::{Decode, Encode, Payload, WireFrame, WireMemObject, WireWriter};
 
 /// A cluster-wide snapshot of one running program.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,6 +43,15 @@ pub struct ProgramSnapshot {
     pub objects: Vec<WireMemObject>,
 }
 
+sdvm_wire::record_codec!(ProgramSnapshot {
+    program,
+    epoch,
+    name,
+    threads,
+    frames,
+    objects
+});
+
 impl ProgramSnapshot {
     /// The hidden result frame's address, if captured (absent once the
     /// program has delivered its result).
@@ -56,28 +65,13 @@ impl ProgramSnapshot {
     /// Serialize (wire codec; also used for on-disk checkpoints).
     pub fn to_bytes(&self) -> Bytes {
         let mut w = WireWriter::with_capacity(1024);
-        self.program.encode(&mut w);
-        w.put_varint(self.epoch);
-        w.put_str(&self.name);
-        self.threads.encode(&mut w);
-        self.frames.encode(&mut w);
-        self.objects.encode(&mut w);
+        self.encode(&mut w);
         Bytes::from(w.finish())
     }
 
     /// Deserialize.
     pub fn from_bytes(buf: &[u8]) -> SdvmResult<Self> {
-        let mut r = WireReader::new(buf);
-        let snap = ProgramSnapshot {
-            program: ProgramId::decode(&mut r)?,
-            epoch: r.get_varint()?,
-            name: r.get_str()?.to_owned(),
-            threads: u32::decode(&mut r)?,
-            frames: Vec::decode(&mut r)?,
-            objects: Vec::decode(&mut r)?,
-        };
-        r.expect_end()?;
-        Ok(snap)
+        Self::decode_from_slice(buf)
     }
 
     /// Write the snapshot to a file (length-framed, so several snapshots
@@ -103,11 +97,9 @@ impl Site {
     /// [`Site::fetch_checkpoint`]).
     pub fn checkpoint_program(&self, program: ProgramId) -> SdvmResult<ProgramSnapshot> {
         let site = self.inner();
-        let info = site
-            .program
+        site.program
             .code_home(program)
             .ok_or(SdvmError::UnknownProgram(program))?;
-        let _ = info;
         let members = site.cluster.known_sites();
 
         // 1. Pause cluster-wide (loopback handles ourselves).
@@ -133,13 +125,12 @@ impl Site {
         let mut frames = Vec::new();
         let mut objects = Vec::new();
         let mut collect_err = None;
-        for round in 0..2 {
+        for _ in 0..2 {
             frames.clear();
             objects.clear();
             if collect_err.is_some() {
                 break;
             }
-            let _ = round;
             for &m in &members {
                 match site.request(
                     m,
@@ -191,56 +182,7 @@ impl Site {
             return Err(e);
         }
 
-        frames.sort_by_key(|f| f.id);
-        frames.dedup_by_key(|f| f.id);
-        objects.sort_by_key(|o| o.addr);
-        objects.dedup_by_key(|o| o.addr);
-
-        let epoch = self
-            .inner()
-            .program
-            .stored_checkpoint(program)
-            .map(|(e, _)| e + 1)
-            .unwrap_or(1);
-        let (name, threads) = {
-            let reg = &site.registry;
-            (
-                reg.program_name(program)
-                    .or_else(|| site.program.name_of(program))
-                    .unwrap_or_default(),
-                site.registry.thread_count(program) as u32,
-            )
-        };
-        let snapshot = ProgramSnapshot {
-            program,
-            epoch,
-            name,
-            threads,
-            frames,
-            objects,
-        };
-
-        // 4. Store on the checkpoint sites (the code distribution sites,
-        // ourselves included) — "the sites where checkpoints are stored".
-        let bytes = snapshot.to_bytes();
-        let mut stores = site.cluster.code_distribution_sites();
-        if !stores.contains(&site.my_id()) {
-            stores.push(site.my_id());
-        }
-        for &m in &stores {
-            let _ = site.request(
-                m,
-                ManagerId::Program,
-                ManagerId::Program,
-                Payload::CheckpointStore {
-                    program,
-                    epoch,
-                    snapshot: Bytes::copy_from_slice(&bytes),
-                },
-                site.config.request_timeout,
-            );
-        }
-        Ok(snapshot)
+        self.store_snapshot(program, frames, objects)
     }
 
     /// Take an **incremental, pause-free** checkpoint of `program`.
@@ -307,34 +249,42 @@ impl Site {
             }
         }
 
-        // Objects can legitimately appear twice (one site's fresh cut,
-        // another's cached cut from before a migration): keep the
-        // highest version. Frames dedup by address.
+        self.store_snapshot(program, frames, objects)
+    }
+
+    /// The shared tail of both checkpoint paths: assemble the collected
+    /// parts into the next epoch's snapshot and store it on the
+    /// checkpoint sites (the code distribution sites, ourselves
+    /// included) — "the sites where checkpoints are stored".
+    fn store_snapshot(
+        &self,
+        program: ProgramId,
+        mut frames: Vec<WireFrame>,
+        mut objects: Vec<WireMemObject>,
+    ) -> SdvmResult<ProgramSnapshot> {
+        let site = self.inner();
+        // An object can appear twice in an incremental cut (one site's
+        // fresh cut, another's cached cut from before a migration): keep
+        // the highest version. A quiesced cut has one version per address.
+        // Frames dedup by address.
         frames.sort_by_key(|f| f.id);
         frames.dedup_by_key(|f| f.id);
         objects.sort_by(|a, b| a.addr.cmp(&b.addr).then(b.version.cmp(&a.version)));
         objects.dedup_by_key(|o| o.addr);
 
-        let epoch = self
-            .inner()
-            .program
-            .stored_checkpoint(program)
-            .map(|(e, _)| e + 1)
-            .unwrap_or(1);
-        let (name, threads) = {
-            (
-                site.registry
-                    .program_name(program)
-                    .or_else(|| site.program.name_of(program))
-                    .unwrap_or_default(),
-                site.registry.thread_count(program) as u32,
-            )
-        };
         let snapshot = ProgramSnapshot {
             program,
-            epoch,
-            name,
-            threads,
+            epoch: site
+                .program
+                .stored_checkpoint(program)
+                .map(|(e, _)| e + 1)
+                .unwrap_or(1),
+            name: site
+                .registry
+                .program_name(program)
+                .or_else(|| site.program.name_of(program))
+                .unwrap_or_default(),
+            threads: site.registry.thread_count(program) as u32,
             frames,
             objects,
         };
@@ -351,7 +301,7 @@ impl Site {
                 ManagerId::Program,
                 Payload::CheckpointStore {
                     program,
-                    epoch,
+                    epoch: snapshot.epoch,
                     snapshot: Bytes::copy_from_slice(&bytes),
                 },
                 site.config.request_timeout,

@@ -257,6 +257,25 @@ pub trait Decode: Sized {
     }
 }
 
+/// Implement [`Encode`] and [`Decode`] for a struct as its listed fields
+/// back to back: the list is the byte layout, and each field's type comes
+/// from the struct, as in `record_codec!(GlobalAddress { home, local })`.
+#[macro_export]
+macro_rules! record_codec {
+    ($t:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Encode for $t {
+            fn encode(&self, w: &mut $crate::WireWriter) {
+                $( $crate::Encode::encode(&self.$field, w); )+
+            }
+        }
+        impl $crate::Decode for $t {
+            fn decode(r: &mut $crate::WireReader<'_>) -> $crate::SdvmResult<Self> {
+                Ok($t { $( $field: $crate::Decode::decode(r)?, )+ })
+            }
+        }
+    };
+}
+
 macro_rules! varint_newtype {
     ($t:ty, $inner:ty, $ctor:expr) => {
         impl Encode for $t {
@@ -433,50 +452,11 @@ impl Decode for Value {
     }
 }
 
-impl Encode for GlobalAddress {
-    fn encode(&self, w: &mut WireWriter) {
-        self.home.encode(w);
-        w.put_varint(self.local);
-    }
-}
-impl Decode for GlobalAddress {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(GlobalAddress {
-            home: SiteId::decode(r)?,
-            local: r.get_varint()?,
-        })
-    }
-}
+record_codec!(GlobalAddress { home, local });
 
-impl Encode for MicrothreadId {
-    fn encode(&self, w: &mut WireWriter) {
-        self.program.encode(w);
-        self.index.encode(w);
-    }
-}
-impl Decode for MicrothreadId {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(MicrothreadId {
-            program: ProgramId::decode(r)?,
-            index: u32::decode(r)?,
-        })
-    }
-}
+record_codec!(MicrothreadId { program, index });
 
-impl Encode for FileHandle {
-    fn encode(&self, w: &mut WireWriter) {
-        self.site.encode(w);
-        self.local.encode(w);
-    }
-}
-impl Decode for FileHandle {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(FileHandle {
-            site: SiteId::decode(r)?,
-            local: u32::decode(r)?,
-        })
-    }
-}
+record_codec!(FileHandle { site, local });
 
 impl Encode for ManagerId {
     fn encode(&self, w: &mut WireWriter) {
@@ -514,69 +494,24 @@ impl Decode for PhysicalAddr {
     }
 }
 
-impl Encode for SiteDescriptor {
-    fn encode(&self, w: &mut WireWriter) {
-        self.site.encode(w);
-        self.addr.encode(w);
-        self.platform.encode(w);
-        w.put_bool(self.code_distribution);
-        w.put_varint(self.incarnation);
-    }
-}
-impl Decode for SiteDescriptor {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(SiteDescriptor {
-            site: SiteId::decode(r)?,
-            addr: PhysicalAddr::decode(r)?,
-            platform: PlatformId::decode(r)?,
-            code_distribution: r.get_bool()?,
-            incarnation: r.get_varint()?,
-        })
-    }
-}
+record_codec!(SiteDescriptor {
+    site,
+    addr,
+    platform,
+    code_distribution,
+    incarnation
+});
 
-impl Encode for LoadReport {
-    fn encode(&self, w: &mut WireWriter) {
-        self.queued_frames.encode(w);
-        self.busy_slots.encode(w);
-        self.programs.encode(w);
-        w.put_varint(self.memory_bytes);
-        w.put_varint(self.epoch);
-    }
-}
-impl Decode for LoadReport {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(LoadReport {
-            queued_frames: u32::decode(r)?,
-            busy_slots: u32::decode(r)?,
-            programs: u32::decode(r)?,
-            memory_bytes: r.get_varint()?,
-            epoch: r.get_varint()?,
-        })
-    }
-}
+record_codec!(LoadReport {
+    queued_frames,
+    busy_slots,
+    programs,
+    memory_bytes,
+    epoch
+});
 
-/// Vivaldi coordinate (wire v9): five little-endian f64s.
-impl Encode for Coord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
-        w.put_f64(self.z);
-        w.put_f64(self.h);
-        w.put_f64(self.err);
-    }
-}
-impl Decode for Coord {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(Coord {
-            x: r.get_f64()?,
-            y: r.get_f64()?,
-            z: r.get_f64()?,
-            h: r.get_f64()?,
-            err: r.get_f64()?,
-        })
-    }
-}
+// Vivaldi coordinate (wire v9): five little-endian f64s.
+record_codec!(Coord { x, y, z, h, err });
 
 impl Encode for Priority {
     fn encode(&self, w: &mut WireWriter) {
@@ -591,20 +526,7 @@ impl Decode for Priority {
     }
 }
 
-impl Encode for SchedulingHint {
-    fn encode(&self, w: &mut WireWriter) {
-        self.priority.encode(w);
-        w.put_bool(self.sticky);
-    }
-}
-impl Decode for SchedulingHint {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(SchedulingHint {
-            priority: Priority::decode(r)?,
-            sticky: r.get_bool()?,
-        })
-    }
-}
+record_codec!(SchedulingHint { priority, sticky });
 
 impl Encode for ReplicaSelector {
     fn encode(&self, w: &mut WireWriter) {

@@ -31,3 +31,5 @@ pub use framing::{
 };
 pub use message::{SdMessage, TraceContext, WIRE_VERSION};
 pub use payload::{Payload, WireFrame, WireMemObject, WireMetricsSummary, WireSend};
+#[doc(hidden)]
+pub use sdvm_types::SdvmResult;

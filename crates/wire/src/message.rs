@@ -85,22 +85,7 @@ impl Default for TraceContext {
     }
 }
 
-impl Encode for TraceContext {
-    fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.put_varint(self.id as u64);
-    }
-}
-
-impl Decode for TraceContext {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        let origin = SiteId::decode(r)?;
-        let id = r.get_varint()?;
-        let id = u32::try_from(id)
-            .map_err(|_| sdvm_types::SdvmError::Decode(format!("trace id {id} overflows u32")))?;
-        Ok(TraceContext { origin, id })
-    }
-}
+crate::record_codec!(TraceContext { origin, id });
 
 /// A manager-to-manager message between sites.
 #[derive(Clone, PartialEq, Debug)]

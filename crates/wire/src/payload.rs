@@ -48,27 +48,13 @@ impl WireFrame {
     }
 }
 
-impl Encode for WireFrame {
-    fn encode(&self, w: &mut WireWriter) {
-        self.id.encode(w);
-        self.thread.encode(w);
-        self.slots.encode(w);
-        self.targets.encode(w);
-        self.hint.encode(w);
-    }
-}
-
-impl Decode for WireFrame {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(WireFrame {
-            id: GlobalAddress::decode(r)?,
-            thread: MicrothreadId::decode(r)?,
-            slots: Vec::decode(r)?,
-            targets: Vec::decode(r)?,
-            hint: SchedulingHint::decode(r)?,
-        })
-    }
-}
+crate::record_codec!(WireFrame {
+    id,
+    thread,
+    slots,
+    targets,
+    hint
+});
 
 /// Serialized global memory object (for migration, relocation, checkpoints).
 #[derive(Clone, PartialEq, Debug)]
@@ -85,25 +71,12 @@ pub struct WireMemObject {
     pub version: u64,
 }
 
-impl Encode for WireMemObject {
-    fn encode(&self, w: &mut WireWriter) {
-        self.addr.encode(w);
-        self.program.encode(w);
-        self.data.encode(w);
-        w.put_varint(self.version);
-    }
-}
-
-impl Decode for WireMemObject {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(WireMemObject {
-            addr: GlobalAddress::decode(r)?,
-            program: ProgramId::decode(r)?,
-            data: Value::decode(r)?,
-            version: r.get_varint()?,
-        })
-    }
-}
+crate::record_codec!(WireMemObject {
+    addr,
+    program,
+    data,
+    version
+});
 
 /// One buffered result send produced by a vote-mode replica execution
 /// (wire v6): the escrow coordinator replays the winning replica's sends
@@ -118,23 +91,11 @@ pub struct WireSend {
     pub value: Value,
 }
 
-impl Encode for WireSend {
-    fn encode(&self, w: &mut WireWriter) {
-        self.target.encode(w);
-        self.slot.encode(w);
-        self.value.encode(w);
-    }
-}
-
-impl Decode for WireSend {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(WireSend {
-            target: GlobalAddress::decode(r)?,
-            slot: u32::decode(r)?,
-            value: Value::decode(r)?,
-        })
-    }
-}
+crate::record_codec!(WireSend {
+    target,
+    slot,
+    value
+});
 
 /// Compact per-site telemetry digest piggybacked on heartbeat traffic
 /// (wire v7): the counters an operator steers by, plus the two
@@ -171,41 +132,20 @@ pub struct WireMetricsSummary {
     pub help_rtt_buckets: Vec<u64>,
 }
 
-impl Encode for WireMetricsSummary {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.messages_sent);
-        w.put_varint(self.messages_received);
-        w.put_varint(self.frames_executed);
-        w.put_varint(self.frames_retried);
-        w.put_varint(self.frames_quarantined);
-        w.put_varint(self.crashes_declared);
-        w.put_varint(self.help_requests);
-        w.put_varint(self.help_granted);
-        w.put_varint(self.career_sum_us);
-        self.career_buckets.encode(w);
-        w.put_varint(self.help_rtt_sum_us);
-        self.help_rtt_buckets.encode(w);
-    }
-}
-
-impl Decode for WireMetricsSummary {
-    fn decode(r: &mut WireReader<'_>) -> SdvmResult<Self> {
-        Ok(WireMetricsSummary {
-            messages_sent: r.get_varint()?,
-            messages_received: r.get_varint()?,
-            frames_executed: r.get_varint()?,
-            frames_retried: r.get_varint()?,
-            frames_quarantined: r.get_varint()?,
-            crashes_declared: r.get_varint()?,
-            help_requests: r.get_varint()?,
-            help_granted: r.get_varint()?,
-            career_sum_us: r.get_varint()?,
-            career_buckets: Vec::decode(r)?,
-            help_rtt_sum_us: r.get_varint()?,
-            help_rtt_buckets: Vec::decode(r)?,
-        })
-    }
-}
+crate::record_codec!(WireMetricsSummary {
+    messages_sent,
+    messages_received,
+    frames_executed,
+    frames_retried,
+    frames_quarantined,
+    crashes_declared,
+    help_requests,
+    help_granted,
+    career_sum_us,
+    career_buckets,
+    help_rtt_sum_us,
+    help_rtt_buckets,
+});
 
 macro_rules! payloads {
     (

@@ -1,7 +1,8 @@
-//! Every knob has a row in DESIGN.md's "Configuration" table, and every
-//! row names a knob that exists. The struct patterns below list each
-//! field and end without `..`, so adding or removing a config field does
-//! not compile until this file (and then the table) follows.
+//! Every knob has a row in DESIGN.md's "Configuration" table, every row
+//! names a knob that exists, and every `file:line` the table cites sets
+//! that knob. The struct patterns below list each field and end without
+//! `..`, so adding or removing a config field does not compile until this
+//! file (and then the table) follows.
 
 use sdvm::core::SiteConfig;
 use sdvm::sim::SimConfig;
@@ -68,9 +69,9 @@ fn all_knobs() -> Vec<&'static str> {
     knobs
 }
 
-/// The first cell of each row of the Configuration table, backticks
-/// stripped.
-fn table_rows() -> Vec<&'static str> {
+/// The first two cells of each row of the Configuration table: the knob
+/// (backticks stripped) and who sets it.
+fn table_rows() -> Vec<(&'static str, &'static str)> {
     let (_, section) = DESIGN
         .split_once("## 10. Configuration")
         .expect("DESIGN.md has a Configuration section");
@@ -78,7 +79,8 @@ fn table_rows() -> Vec<&'static str> {
     section
         .lines()
         .filter_map(|l| l.strip_prefix("| `"))
-        .filter_map(|l| l.split_once('`').map(|(knob, _)| knob))
+        .filter_map(|l| l.split_once('`'))
+        .map(|(knob, rest)| (knob, rest.split('|').nth(1).unwrap_or("").trim()))
         .collect()
 }
 
@@ -86,7 +88,7 @@ fn table_rows() -> Vec<&'static str> {
 fn every_knob_has_exactly_one_row() {
     let rows = table_rows();
     for knob in all_knobs() {
-        let n = rows.iter().filter(|&&r| r == knob).count();
+        let n = rows.iter().filter(|&&(r, _)| r == knob).count();
         assert_eq!(n, 1, "{knob} needs exactly one row in DESIGN.md §10");
     }
 }
@@ -94,10 +96,32 @@ fn every_knob_has_exactly_one_row() {
 #[test]
 fn every_row_names_a_knob() {
     let knobs = all_knobs();
-    for row in table_rows() {
+    for (row, _) in table_rows() {
         assert!(
             knobs.contains(&row),
             "DESIGN.md §10 has a row for {row}, which is no knob"
+        );
+    }
+}
+
+#[test]
+fn every_citation_sets_its_knob() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (knob, cite) in table_rows() {
+        // "none", "none yet": nothing to check.
+        let Some((path, line)) = cite.trim_matches('`').rsplit_once(':') else {
+            continue;
+        };
+        let text = std::fs::read_to_string(root.join(path))
+            .unwrap_or_else(|e| panic!("{knob}: cited file {path}: {e}"));
+        let n: usize = line
+            .parse()
+            .unwrap_or_else(|_| panic!("{knob}: bad line number in {cite}"));
+        let cited = text.lines().nth(n - 1).unwrap_or("");
+        let field = knob.rsplit("::").next().unwrap_or(knob);
+        assert!(
+            cited.contains(field) || cited.contains(".with_"),
+            "{knob}: {path}:{n} neither names `{field}` nor calls a `with_` builder: {cited:?}"
         );
     }
 }

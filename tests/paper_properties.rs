@@ -3,23 +3,13 @@
 //! EXPERIMENTS.md for the full numbers).
 
 use sdvm::cdag::generators;
-use sdvm::sim::{SimConfig, Simulation, TaskCostModel};
-use sdvm_apps::primes::PrimesProgram;
-
-/// Table-1 cost calibration (duplicated from `sdvm-bench` to keep the
-/// facade crate's tests self-contained).
-const UNIT_COST: u64 = 62_700;
-const MSG_OVERHEAD: f64 = 2.0e-3;
-
-fn cfg(n: usize) -> SimConfig {
-    let mut c = SimConfig::homogeneous(n);
-    c.cost.msg_overhead = MSG_OVERHEAD;
-    c
-}
+use sdvm::sim::{Simulation, TaskCostModel};
+use sdvm_bench::{cluster_config as cfg, primes_graph, MSG_OVERHEAD};
 
 fn primes_makespan(p: u64, width: usize, sites: usize) -> f64 {
-    let g = PrimesProgram::new(p, width).graph(UNIT_COST, 1_000);
-    Simulation::new(cfg(sites), g).run().makespan
+    Simulation::new(cfg(sites), primes_graph(p, width))
+        .run()
+        .makespan
 }
 
 #[test]
@@ -98,7 +88,7 @@ fn five_slots_beat_one_on_latency_bound_work() {
 fn work_share_tracks_speed_share() {
     // §3.5: slower sites are relieved, faster sites get more work.
     use sdvm::sim::SimSite;
-    let g = PrimesProgram::new(100, 20).graph(UNIT_COST, 1_000);
+    let g = primes_graph(100, 20);
     let mut c = cfg(3);
     c.sites = vec![
         SimSite::with_speed(4.0),
@@ -119,7 +109,7 @@ fn work_share_tracks_speed_share() {
 fn growing_the_cluster_mid_run_helps() {
     // §3.4: resources added at runtime speed the running application up.
     use sdvm::sim::SimSite;
-    let g = PrimesProgram::new(200, 20).graph(UNIT_COST, 1_000);
+    let g = primes_graph(200, 20);
     let t2 = Simulation::new(cfg(2), g.clone()).run().makespan;
     let mut grown = cfg(4);
     grown.sites[2] = SimSite {
