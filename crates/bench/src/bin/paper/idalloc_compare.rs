@@ -8,6 +8,10 @@
 //! demonstrating the central strategy's point of failure and the
 //! distributed strategies' survival.
 //!
+//! Check: ids are unique under every concept, the central concept refuses
+//! the join after site 1 crashes, and the other two accept it. A
+//! violation exits non-zero.
+//!
 //! ```text
 //! cargo run --release -p sdvm-bench --bin paper -- e8
 //! ```
@@ -18,6 +22,7 @@ use sdvm_types::IdAllocStrategy;
 use std::time::Instant;
 
 pub fn run() {
+    let mut violations = Vec::new();
     println!("E8: site-id allocation strategies (real runtime, in-process cluster)");
     rule(76);
     println!(
@@ -27,7 +32,7 @@ pub fn run() {
     rule(76);
     for strategy in [
         IdAllocStrategy::CentralServer,
-        IdAllocStrategy::Contingents { chunk: 64 },
+        IdAllocStrategy::Contingents,
         IdAllocStrategy::Modulo { servers: 3 },
     ] {
         let mut cfg = SiteConfig::default();
@@ -51,6 +56,25 @@ pub fn run() {
         cluster.crash(0);
         let contact = cluster.site(1).addr();
         let after = cluster.add_site_via(cfg.clone(), &contact);
+        let refused_expected = strategy == IdAllocStrategy::CentralServer;
+        if !unique {
+            violations.push(format!("{strategy}: duplicate ids {ids:?}"));
+        }
+        if after.is_err() != refused_expected {
+            violations.push(format!(
+                "{strategy}: join after s1 crashed {}, expected {}",
+                if after.is_err() {
+                    "refused"
+                } else {
+                    "accepted"
+                },
+                if refused_expected {
+                    "refused"
+                } else {
+                    "accepted"
+                },
+            ));
+        }
         let verdict = match after {
             Ok(_) => "OK (cluster survives)",
             Err(_) => "REFUSED (central point of failure)",
@@ -67,4 +91,10 @@ pub fn run() {
     rule(76);
     println!("paper: the central concept \"obviously leads to a central point of failure\";");
     println!("contingents and modulo servers keep accepting new sites.");
+    if !violations.is_empty() {
+        for v in &violations {
+            eprintln!("E8 check failed: {v}");
+        }
+        std::process::exit(1);
+    }
 }

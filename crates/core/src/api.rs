@@ -296,7 +296,7 @@ impl<'a> ExecCtx<'a> {
         }
         self.site
             .memory
-            .apply_or_forward(self.site, target, slot, value, 4)
+            .apply_or_forward(self.site, target, slot, value)
     }
 
     /// Allocate a global memory object; it is accessible (and migrates)
@@ -395,23 +395,16 @@ impl Site {
 
         // Announce the program cluster-wide so foreign sites know its
         // code home.
-        for p in site.cluster.known_sites() {
-            if p != site.my_id() {
-                let _ = site.send_payload(
-                    p,
-                    ManagerId::Program,
-                    ManagerId::Program,
-                    site.next_seq(),
-                    Payload::ProgramRegister {
-                        program,
-                        code_home: site.my_id(),
-                        name: app.name.clone(),
-                        threads: app.thread_count(),
-                        replication: app.replication,
-                    },
-                );
-            }
-        }
+        site.broadcast(
+            ManagerId::Program,
+            Payload::ProgramRegister {
+                program,
+                code_home: site.my_id(),
+                name: app.name.clone(),
+                threads: app.thread_count(),
+                replication: app.replication,
+            },
+        );
         Ok((result_rx, output_rx, input_queue))
     }
 

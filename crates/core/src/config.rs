@@ -16,8 +16,6 @@ pub struct SiteConfig {
     /// Start password enabling the security manager; `None` runs the
     /// cluster unencrypted ("insular cluster", §4).
     pub password: Option<String>,
-    /// Volunteer as a code distribution site (stores every microthread).
-    pub code_distribution: bool,
     /// Simulated duration of compiling a microthread's source on the fly.
     pub compile_latency: Duration,
     /// How logical site ids are allocated (paper discusses three concepts).
@@ -86,7 +84,6 @@ impl Default for SiteConfig {
             platform: PlatformId(0),
             slots: 5,
             password: None,
-            code_distribution: false,
             compile_latency: Duration::from_millis(20),
             id_alloc: IdAllocStrategy::CentralServer,
             crash_tolerance: false,

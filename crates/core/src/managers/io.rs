@@ -5,7 +5,7 @@
 //! [`FileHandle`] embedding the site the file resides on; accesses from
 //! other sites are rerouted there automatically.
 
-use crate::site::{SiteInner, Task};
+use crate::site::SiteInner;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sdvm_types::{FileHandle, ManagerId, ProgramId, SdvmError, SdvmResult, SiteId};
@@ -263,14 +263,14 @@ impl IoManager {
                     .map(|f| f.input_queue.clone());
                 match queue {
                     Some(q) => {
-                        site.spawn_task(Task::Run(Box::new(move |site| {
+                        site.spawn_task(move |site| {
                             let line = poll_queue(site, &q).unwrap_or_default();
                             site.reply_to(
                                 &msg,
                                 ManagerId::Io,
                                 Payload::IoInputReply { program, line },
                             );
-                        })));
+                        });
                     }
                     None => {
                         site.reply_to(

@@ -33,7 +33,7 @@
 
 use crate::frame::Microframe;
 use crate::managers::backup;
-use crate::site::{SiteInner, Task};
+use crate::site::SiteInner;
 use crate::telemetry::trace_id_of;
 use crate::trace::{DropReason, TraceEvent};
 use parking_lot::{Mutex, MutexGuard};
@@ -580,7 +580,7 @@ impl MemoryManager {
 
     /// Apply a result wherever the frame currently lives: locally, or by
     /// forwarding an `ApplyResult` to the current owner (with directory
-    /// resolution and migration chasing, bounded by `ttl`). May block on
+    /// resolution and migration chasing). May block on
     /// remote lookups — call from worker/helper threads only.
     ///
     /// Retries around site failures: if the homesite times out (it may
@@ -596,7 +596,6 @@ impl MemoryManager {
         target: GlobalAddress,
         slot: u32,
         value: Value,
-        ttl: u8,
     ) -> SdvmResult<()> {
         let attempts = if site.config.crash_tolerance { 5 } else { 1 };
         let mut last_err = None;
@@ -606,7 +605,7 @@ impl MemoryManager {
                 // reroute succession and for backup revival to finish.
                 std::thread::sleep(std::time::Duration::from_millis(100 << attempt.min(4)));
             }
-            match self.try_apply_or_forward(site, target, slot, value.clone(), ttl) {
+            match self.try_apply_or_forward(site, target, slot, value.clone()) {
                 Ok(true) => return Ok(()),
                 Ok(false) => {
                     // Unknown at the directory: consumed, or mid-crash
@@ -645,14 +644,10 @@ impl MemoryManager {
         target: GlobalAddress,
         slot: u32,
         value: Value,
-        ttl: u8,
     ) -> SdvmResult<bool> {
         if self.apply_local(site, target, slot, value.clone())? {
             backup::mirror_apply(site, site.my_id(), target, slot, value);
             return Ok(true);
-        }
-        if ttl == 0 {
-            return Err(SdvmError::ObjectMissing(target));
         }
         let me = site.my_id();
         let home = self.resolve_home(site, target.home);
@@ -1197,11 +1192,8 @@ impl MemoryManager {
                     Ok(false) => {
                         // Not here (frame migrated on, or consumed):
                         // resolve and forward off the router thread.
-                        site.spawn_task(Task::ForwardApply {
-                            target,
-                            slot,
-                            value,
-                            ttl: 4,
+                        site.spawn_task(move |site| {
+                            let _ = site.memory.apply_or_forward(site, target, slot, value);
                         });
                     }
                     Err(_) => { /* duplicate/stale result: drop */ }
@@ -1338,9 +1330,6 @@ impl MemoryManager {
             Payload::BackupObject { obj } => {
                 site.backup.on_object(msg.src_site, obj);
             }
-            Payload::RecoverSite { dead } => {
-                site.spawn_task(Task::Recover { dead });
-            }
             other => {
                 site.reply_to(
                     &msg,
@@ -1468,16 +1457,4 @@ impl MemoryManager {
             })
             .filter(|h| h.is_valid() && *h != requester && *h != me)
     }
-}
-
-/// Helper-thread entry for forwarding a result whose frame is not local
-/// (migration chasing; see [`MemoryManager::apply_or_forward`]).
-pub(crate) fn forward_apply(
-    site: &SiteInner,
-    target: GlobalAddress,
-    slot: u32,
-    value: Value,
-    ttl: u8,
-) {
-    let _ = site.memory.apply_or_forward(site, target, slot, value, ttl);
 }

@@ -19,26 +19,3 @@ pub mod replication;
 pub mod scheduling;
 pub mod security;
 pub mod site_mgr;
-
-use crate::site::{SiteInner, Task};
-
-/// Execute one helper-thread task (see [`Task`]).
-pub(crate) fn run_task(site: &SiteInner, task: Task) {
-    match task {
-        Task::ForwardApply {
-            target,
-            slot,
-            value,
-            ttl,
-        } => {
-            memory::forward_apply(site, target, slot, value, ttl);
-        }
-        Task::SignOn { msg, reply_addr } => {
-            cluster::handle_signon_blocking(site, msg, reply_addr);
-        }
-        Task::Recover { dead } => {
-            backup::recover(site, dead);
-        }
-        Task::Run(f) => f(site),
-    }
-}

@@ -160,17 +160,7 @@ impl ProgramManager {
         }
         self.quiet_since.lock().remove(&program);
         self.mark_terminated(site, program);
-        for p in site.cluster.known_sites() {
-            if p != site.my_id() {
-                let _ = site.send_payload(
-                    p,
-                    ManagerId::Program,
-                    ManagerId::Program,
-                    site.next_seq(),
-                    Payload::ProgramTerminated { program },
-                );
-            }
-        }
+        site.broadcast(ManagerId::Program, Payload::ProgramTerminated { program });
     }
 
     /// A frame of `program` was quarantined somewhere in the cluster and
@@ -321,7 +311,7 @@ impl ProgramManager {
                 // Quiesce locally (running frames of the program drain —
                 // the program is paused, so nothing new starts), then
                 // contribute this site's share. Blocking → helper thread.
-                site.spawn_task(crate::site::Task::Run(Box::new(move |site| {
+                site.spawn_task(move |site| {
                     let quiesced = site
                         .scheduling
                         .wait_quiesced(program, site.config.request_timeout / 2);
@@ -356,7 +346,7 @@ impl ProgramManager {
                             frames,
                         },
                     );
-                })));
+                });
             }
             Payload::DeadLetterSweep { letters } => {
                 // A draining peer hands over its quarantined frames so
@@ -378,7 +368,7 @@ impl ProgramManager {
                 // which the receiving frame's slot-fill check rejects
                 // as duplicates). Blocking (shard locks) → helper
                 // thread, like the quiesced path.
-                site.spawn_task(crate::site::Task::Run(Box::new(move |site| {
+                site.spawn_task(move |site| {
                     let cut = site.memory.snapshot_program_incremental(program);
                     site.metrics.checkpoint_incremental_cuts.inc();
                     site.metrics
@@ -404,7 +394,7 @@ impl ProgramManager {
                             frames,
                         },
                     );
-                })));
+                });
             }
             Payload::CheckpointStore {
                 program,

@@ -31,7 +31,7 @@
 //! effect (I/O, global writes, frame creation) happens once per replica.
 
 use crate::frame::{Microframe, ReplicaRun};
-use crate::site::{SiteInner, Task};
+use crate::site::SiteInner;
 use crate::trace::{DropReason, TraceEvent};
 use parking_lot::Mutex;
 use sdvm_types::{GlobalAddress, ManagerId, ProgramId, SdvmError, SiteId};
@@ -412,11 +412,11 @@ impl ReplicationManager {
                 }
                 // Applying the winner's sends may block on remote
                 // owners — helper task, never the router thread.
-                site.spawn_task(Task::Run(Box::new(move |site| {
+                site.spawn_task(move |site| {
                     for s in sends {
                         if let Err(e) = site
                             .memory
-                            .apply_or_forward(site, s.target, s.slot, s.value, 4)
+                            .apply_or_forward(site, s.target, s.slot, s.value)
                         {
                             site.dropped(
                                 DropReason::WinnerSendFailed,
@@ -430,7 +430,7 @@ impl ReplicationManager {
                         frame: id,
                         thread,
                     });
-                })));
+                });
             }
             Outcome::Redispatch {
                 wire,

@@ -32,34 +32,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Work the router hands to the helper thread because it might block.
-pub(crate) enum Task {
-    /// Forward a result to a frame whose owner must be resolved remotely.
-    ForwardApply {
-        /// Destination frame.
-        target: sdvm_types::GlobalAddress,
-        /// Slot to fill.
-        slot: u32,
-        /// The result value.
-        value: sdvm_types::Value,
-        /// Remaining forwarding attempts (migration chases).
-        ttl: u8,
-    },
-    /// Handle a sign-on that needs a remote id allocation.
-    SignOn {
-        /// The original request (to reply to).
-        msg: SdMessage,
-        /// Where the joiner can be reached before it has an id.
-        reply_addr: PhysicalAddr,
-    },
-    /// Revive backed-up state of a crashed site.
-    Recover {
-        /// The dead site.
-        dead: SiteId,
-    },
-    /// Run a closure (used by managers for one-off background sends).
-    Run(Box<dyn FnOnce(&SiteInner) + Send>),
-}
+/// Work the router hands to a helper thread because it might block.
+pub(crate) type Task = Box<dyn FnOnce(&SiteInner) + Send>;
 
 /// Shared state of one site; all managers and threads hang off this.
 pub struct SiteInner {
@@ -275,7 +249,7 @@ impl SiteInner {
         if !rec.try_claim() {
             return;
         }
-        self.spawn_task(Task::Run(Box::new(move |site: &SiteInner| {
+        self.spawn_task(move |site| {
             if let Some(r) = &site.recorder {
                 if let Some(path) = r.record(site, trigger, &detail) {
                     site.emit(TraceEvent::PostmortemWritten {
@@ -285,7 +259,7 @@ impl SiteInner {
                     });
                 }
             }
-        })));
+        });
     }
 
     /// Number of processing-slot threads currently alive.
@@ -342,18 +316,17 @@ impl SiteInner {
         }
     }
 
-    /// Queue background work for the helper threads. Crash recovery gets
-    /// its own lane: it must not wait behind result forwards that may be
+    /// Queue background work for the helper threads.
+    pub(crate) fn spawn_task(&self, task: impl FnOnce(&SiteInner) + Send + 'static) {
+        let _ = self.tasks_tx.send(Box::new(task));
+    }
+
+    /// Queue the revival of what this site backs up for `dead` on the
+    /// recovery lane: it must not wait behind result forwards that may be
     /// blocked on (dead-site) request timeouts.
-    pub(crate) fn spawn_task(&self, task: Task) {
-        match task {
-            Task::Recover { .. } => {
-                let _ = self.recovery_tx.send(task);
-            }
-            other => {
-                let _ = self.tasks_tx.send(other);
-            }
-        }
+    pub(crate) fn spawn_recovery(&self, dead: SiteId) {
+        let task: Task = Box::new(move |site| crate::managers::backup::recover(site, dead));
+        let _ = self.recovery_tx.send(task);
     }
 
     /// Arm deterministic result corruption (chaos harness): the `nth`
@@ -406,6 +379,21 @@ impl SiteInner {
             payload,
             TraceContext::NONE,
         )
+    }
+
+    /// Send `payload` to `manager` on every other known member.
+    pub fn broadcast(&self, manager: ManagerId, payload: Payload) {
+        self.broadcast_except(SiteId::NONE, manager, payload);
+    }
+
+    /// [`SiteInner::broadcast`], also skipping `skip`.
+    pub(crate) fn broadcast_except(&self, skip: SiteId, manager: ManagerId, payload: Payload) {
+        let me = self.my_id();
+        for p in self.cluster.known_sites() {
+            if p != me && p != skip {
+                let _ = self.send_payload(p, manager, manager, self.next_seq(), payload.clone());
+            }
+        }
     }
 
     /// [`SiteInner::send_payload`] with an explicit causal trace context
@@ -869,7 +857,7 @@ impl Site {
                 while inner.is_running() {
                     inner.pause_gate();
                     match rx.recv_timeout(Duration::from_millis(50)) {
-                        Ok(task) => crate::managers::run_task(&inner, task),
+                        Ok(task) => task(&inner),
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                         Err(_) => break,
                     }

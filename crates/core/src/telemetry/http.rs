@@ -270,7 +270,7 @@ fn drain_trigger(inner: &Arc<SiteInner>) -> (u16, String) {
         );
     }
     inner.set_draining(true);
-    inner.spawn_task(crate::site::Task::Run(Box::new(|site| {
+    inner.spawn_task(|site| {
         match site.cluster.sign_off(site) {
             Ok(()) => site.soft_stop(),
             Err(e) => {
@@ -280,7 +280,7 @@ fn drain_trigger(inner: &Arc<SiteInner>) -> (u16, String) {
                 site.set_draining(false);
             }
         }
-    })));
+    });
     (
         202,
         format!("{{\"ok\": true, \"site\": {me}, \"draining\": true}}\n"),

@@ -6,7 +6,8 @@
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
 use sdvm_core::{AppBuilder, InProcessCluster, ProgramHandle, SiteConfig, TraceEvent, TraceLog};
-use sdvm_types::{GlobalAddress, SiteId, Value};
+use sdvm_types::{GlobalAddress, ManagerId, SiteId, Value};
+use sdvm_wire::{Payload, SdMessage};
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -134,6 +135,49 @@ fn paused_site_rejoins_with_bumped_incarnation() {
             .iter()
             .any(|e| matches!(e, TraceEvent::SiteJoined { joined, .. } if *joined == victim)),
         "rejoin must be observable as SiteJoined after the death verdict"
+    );
+}
+
+/// A site that hears itself suspected refutes the verdict: it bumps its
+/// incarnation past the accused one and re-announces, and every peer
+/// records the new incarnation with no suspicion left open.
+#[test]
+fn suspected_site_refutes_with_bumped_incarnation() {
+    let cluster = InProcessCluster::with_configs(vec![detector_config(); 3], None).unwrap();
+    let victim = cluster.site(2).id();
+    let before = cluster.site(2).descriptor().incarnation;
+    let gossip = SdMessage::new(
+        cluster.site(0).id(),
+        ManagerId::Cluster,
+        victim,
+        ManagerId::Cluster,
+        1,
+        Payload::SuspectSite {
+            site: victim,
+            incarnation: before,
+        },
+    );
+    cluster.site(2).inner().dispatch(gossip);
+    assert_eq!(
+        cluster.site(2).descriptor().incarnation,
+        before + 1,
+        "the suspect must bump its incarnation past the accused one"
+    );
+    let converged = poll_until(Duration::from_secs(10), || {
+        (0..2).all(|i| {
+            cluster
+                .site(i)
+                .inner()
+                .cluster
+                .membership_view()
+                .members
+                .iter()
+                .any(|m| m.site == victim && m.incarnation > before && !m.suspected)
+        })
+    });
+    assert!(
+        converged,
+        "every peer must learn the bumped incarnation with no open suspicion"
     );
 }
 

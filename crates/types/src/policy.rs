@@ -181,13 +181,11 @@ pub enum IdAllocStrategy {
     /// of failure: if it leaves, no new site can ever join.
     #[default]
     CentralServer,
-    /// Several id servers each receive a contingent of free ids at their
-    /// own sign-on and hand them out; an exhausted contingent triggers a
-    /// broadcast to re-split the id space.
-    Contingents {
-        /// Number of ids in each contingent handed to a new id server.
-        chunk: u32,
-    },
+    /// Every site is an id server. A joiner's contingent is the upper
+    /// half of its acceptor's youngest id range, handed over at sign-on;
+    /// a server whose ranges run dry asks its peers one by one for half
+    /// of theirs.
+    Contingents,
     /// A fixed number `k` of id servers; server `i` (0-based) emits ids
     /// congruent to its own slot modulo `k` — no coordination ever needed.
     Modulo {
@@ -327,7 +325,7 @@ impl fmt::Display for IdAllocStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IdAllocStrategy::CentralServer => f.write_str("central"),
-            IdAllocStrategy::Contingents { chunk } => write!(f, "contingents({chunk})"),
+            IdAllocStrategy::Contingents => f.write_str("contingents"),
             IdAllocStrategy::Modulo { servers } => write!(f, "modulo({servers})"),
         }
     }
@@ -355,10 +353,7 @@ mod tests {
     #[test]
     fn displays() {
         assert_eq!(QueuePolicy::Lifo.to_string(), "lifo");
-        assert_eq!(
-            IdAllocStrategy::Contingents { chunk: 64 }.to_string(),
-            "contingents(64)"
-        );
+        assert_eq!(IdAllocStrategy::Contingents.to_string(), "contingents");
         assert_eq!(
             IdAllocStrategy::Modulo { servers: 4 }.to_string(),
             "modulo(4)"

@@ -46,9 +46,13 @@ use sdvm_types::{ManagerId, SdvmResult, SiteId};
 /// clusters are fenced at the version byte; v10 = the `SiteDescriptor`
 /// (sign-on, join and help-request gossip) lost its relative-speed
 /// `f64`, which no runtime decision read. A v9 daemon would read the
-/// next eight bytes as that speed and mis-parse the rest.
+/// next eight bytes as that speed and mis-parse the rest; v11 = the
+/// payloads nothing sent or that duplicated another are gone:
+/// `ClusterListRequest` (7), `ClusterList` (8), `RecoverSite` (59) and
+/// `RefuteSuspicion` (13), whose refutation now travels as a
+/// `SiteAnnounce`. A v10 daemon would still send the last one.
 /// Older frames are rejected loudly, not decoded best-effort.
-pub const WIRE_VERSION: u8 = 10;
+pub const WIRE_VERSION: u8 = 11;
 
 /// Causal trace context riding every [`SdMessage`] (wire v3).
 ///

@@ -226,7 +226,8 @@ payloads! {
     /// Join refused (e.g. id space exhausted under the modulo strategy or
     /// contact site cannot allocate).
     3 SignOnRefused { reason: String },
-    /// Epidemic propagation of site knowledge with normal traffic.
+    /// Epidemic propagation of site knowledge with normal traffic; also
+    /// how a suspected or fenced site refutes, at a bumped incarnation.
     4 SiteAnnounce { descriptor: SiteDescriptor },
     /// Orderly sign-off announcement (after relocation finished).
     /// `successor` takes over the leaver's homesite directory role.
@@ -235,10 +236,6 @@ payloads! {
     /// the sender's Vivaldi network coordinate so receivers can rank
     /// peers by predicted proximity without extra probe traffic.
     6 Heartbeat { load: LoadReport, coord: Option<Coord> },
-    /// Request the full cluster list (new sites, recovery).
-    7 ClusterListRequest {},
-    /// The full cluster list.
-    8 ClusterList { sites: Vec<SiteDescriptor> },
     /// Id-server protocol (contingents strategy): ask for a fresh block.
     9 IdBlockRequest {},
     /// Id-server protocol: a block of free logical ids [start, start+len).
@@ -255,11 +252,9 @@ payloads! {
     /// having crashed — it has been silent past the suspect timeout and
     /// direct probes went unanswered so far. Receivers that heard from
     /// the site recently may answer with `ProbeAck`; the suspect itself
-    /// refutes with a bumped incarnation.
+    /// refutes by announcing itself (`SiteAnnounce`) at a bumped
+    /// incarnation.
     12 SuspectSite { site: SiteId, incarnation: u64 },
-    /// A suspected site protests it is alive: re-announces its descriptor
-    /// with an incarnation bumped past the suspicion it refutes.
-    13 RefuteSuspicion { descriptor: SiteDescriptor },
     /// Indirect probe: ask the receiver to ping `target` on the sender's
     /// behalf (the sender cannot reach it, or wants a second opinion).
     /// `coord` (wire v9) piggybacks the requester's Vivaldi coordinate.
@@ -355,8 +350,6 @@ payloads! {
     57 BackupConsumed { frame: GlobalAddress },
     /// Mirror of a global memory object (on alloc and write).
     58 BackupObject { obj: WireMemObject },
-    /// Ask a backup site to revive everything it holds for a dead site.
-    59 RecoverSite { dead: SiteId },
 
     // ---- program management & checkpoints (§4, [4]) ----
 
@@ -554,10 +547,6 @@ mod tests {
                     err: 0.4,
                 }),
             },
-            Payload::ClusterListRequest {},
-            Payload::ClusterList {
-                sites: vec![d.clone(), d.clone()],
-            },
             Payload::IdBlockRequest {},
             Payload::IdBlockGrant {
                 start: 100,
@@ -571,9 +560,6 @@ mod tests {
             Payload::SuspectSite {
                 site: SiteId(4),
                 incarnation: 1,
-            },
-            Payload::RefuteSuspicion {
-                descriptor: d.clone(),
             },
             Payload::ProbeRequest {
                 target: SiteId(4),
@@ -677,7 +663,6 @@ mod tests {
                 frame: GlobalAddress::new(SiteId(1), 1),
             },
             Payload::BackupObject { obj: obj.clone() },
-            Payload::RecoverSite { dead: SiteId(3) },
             Payload::ProgramRegister {
                 program: ProgramId(1),
                 code_home: SiteId(1),

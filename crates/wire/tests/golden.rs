@@ -35,7 +35,7 @@ fn golden_apply_result() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0a03000307032a0000\
+        "0b03000307032a0000\
 0028020901080807060504030201",
         "ApplyResult wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -62,7 +62,7 @@ fn golden_traced_ping() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0a0500010101070003ac02\
+        "0b0500010101070003ac02\
 5b01",
         "TraceContext wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -76,7 +76,8 @@ fn frames_of_every_earlier_version_are_rejected_loudly() {
     // misparse them (a payload tag read as trace-context bytes, memory
     // payloads that gained fields, batch records a v4 peer cannot open,
     // replication and drain gossip treated as unknown payloads, the
-    // coordinate's extra option byte, the descriptor's dropped speed), so
+    // coordinate's extra option byte, the descriptor's dropped speed, a
+    // refutation sent under a tag that no longer exists), so
     // a current daemon must refuse them at the version byte, not decode
     // best-effort.
     let earlier = [
@@ -98,6 +99,9 @@ fn frames_of_every_earlier_version_are_rejected_loudly() {
         (8, "0803000307032a00000028020901080807060504030201"),
         // v10: the site descriptor without its speed.
         (9, "0903000307032a00000028020901080807060504030201"),
+        // v11: the dead cluster-list, refutation and recovery payloads
+        // left the tag table.
+        (10, "0a03000307032a00000028020901080807060504030201"),
     ];
     for (version, frame) in earlier {
         let err = SdMessage::from_bytes(&unhex(frame)).unwrap_err();
@@ -127,7 +131,7 @@ fn golden_replica_invalidate() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0a02000306030b0000\
+        "0b02000306030b0000\
 00330209ac02",
         "ReplicaInvalidate wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -157,7 +161,7 @@ fn golden_help_request() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0a05000101010700000014020501\
+        "0b05000101010700000014020501\
 80080300",
         "HelpRequest wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -178,7 +182,7 @@ fn golden_ping_reply() {
     let bytes = reply.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0a02000801086501640000\
+        "0b02000801086501640000\
 5cff01",
         "Pong wire encoding changed — bump WIRE_VERSION if intentional"
     );
@@ -202,7 +206,7 @@ fn golden_suspect_site() {
     let bytes = msg.to_bytes();
     assert_eq!(
         hex(&bytes),
-        "0a0100060206090000\
+        "0b0100060206090000\
 000c0403",
         "SuspectSite wire encoding changed — bump WIRE_VERSION if intentional"
     );
