@@ -303,7 +303,7 @@ impl ClusterManager {
         Self::gone(site, dead, true);
         // The dead site's homesite directory died with it: re-register
         // our locally owned state homed there with the successor.
-        site.memory.reregister_after_crash(site, dead, successor);
+        site.memory.reregister_after_crash(site, dead);
         if originator {
             site.broadcast(
                 ManagerId::Cluster,

@@ -331,10 +331,8 @@ impl ProgramManager {
                     // Settle window: let in-flight results from the other
                     // sites' draining executions land before we cut.
                     std::thread::sleep(std::time::Duration::from_millis(100));
-                    let (objects, mem_frames) = site.memory.snapshot_program(program);
+                    let (objects, mut frames) = site.memory.snapshot_program(program);
                     let queued = site.scheduling.snapshot_program(program);
-                    let mut frames: Vec<sdvm_wire::WireFrame> =
-                        mem_frames.into_iter().map(|f| f.to_wire()).collect();
                     frames.extend(queued.into_iter().map(|f| f.to_wire()));
                     frames.sort_by_key(|f| f.id);
                     site.reply_to(

@@ -533,16 +533,8 @@ impl SchedulingManager {
                             // the requester adopts (it will send
                             // OwnerUpdate; set it eagerly too, for reads
                             // racing the adoption).
-                            let _ = site.send_payload(
-                                me,
-                                ManagerId::Memory,
-                                ManagerId::Memory,
-                                site.next_seq(),
-                                Payload::OwnerUpdate {
-                                    addr: frame.id,
-                                    owner: requester,
-                                },
-                            );
+                            site.memory
+                                .point_directory(site, frame.id, requester, |_| ());
                         }
                         let mut reply = msg.reply(
                             site.next_seq(),
