@@ -1,5 +1,5 @@
 //! The paper's evaluation, one subcommand per experiment: Table 1 and
-//! the design claims of §3–§5, indexed as E1–E13, E7b and F4 in
+//! the design claims of §3–§5, indexed as E1–E14, E7b and F4 in
 //! DESIGN.md §3. Each module's doc comment quotes the paper and states
 //! the expected shape; EXPERIMENTS.md records paper against measured.
 //!
@@ -11,6 +11,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config structs are built by mutation by design
 
+mod attraction_memory;
 mod backup_overhead;
 mod code_distribution;
 mod crash_recovery;
@@ -41,7 +42,7 @@ const SIMULATED: [(&str, fn()); 8] = [
 
 /// The experiments that run the real runtime (E7 and E10 add a
 /// simulated sweep to it).
-const RUNTIME: [(&str, fn()); 7] = [
+const RUNTIME: [(&str, fn()); 8] = [
     ("e2", overhead::run),
     ("e5", crypto_overhead::run),
     ("e7", crash_recovery::run),
@@ -49,6 +50,7 @@ const RUNTIME: [(&str, fn()); 7] = [
     ("e8", idalloc_compare::run),
     ("e10", code_distribution::run),
     ("e11", transport_faults::run),
+    ("e14", attraction_memory::run),
 ];
 
 fn main() {

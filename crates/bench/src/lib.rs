@@ -3,12 +3,12 @@
 //! table-printing helpers, and the writer of the `BENCH_*.json` reports.
 //!
 //! The `paper` binary regenerates every table and figure of the paper,
-//! one subcommand per experiment (`paper e1` … `paper e13`, `paper e7b`,
+//! one subcommand per experiment (`paper e1` … `paper e14`, `paper e7b`,
 //! `paper f4`; `paper sim` runs the purely simulated ones); see
 //! DESIGN.md §3 for the index and EXPERIMENTS.md for paper-vs-measured
 //! numbers. The other binaries each gate one design claim of this
-//! reproduction: `scale_sim`, `telemetry_overhead`, `drain_makespan`,
-//! `hedged_tail` and `attraction_memory`.
+//! reproduction: `scale_sim`, `telemetry_overhead`, `drain_makespan` and
+//! `hedged_tail`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

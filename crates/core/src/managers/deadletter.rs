@@ -88,8 +88,10 @@ impl DeadLetterManager {
     }
 
     /// Re-drive a quarantined frame: pull it out of the store, reset its
-    /// retry budget and hand it back to the scheduler. Returns `false`
-    /// if no such frame is quarantined here.
+    /// retry budget and hand it back to the scheduler, pinned to this
+    /// site. Quarantine consumed the frame, so no directory entry or
+    /// backup knows it; help must not carry it where nothing tracks it.
+    /// Returns `false` if no such frame is quarantined here.
     pub fn redrive(&self, site: &SiteInner, frame_id: GlobalAddress) -> bool {
         let letter = {
             let mut letters = self.letters.lock();
@@ -100,6 +102,7 @@ impl DeadLetterManager {
         };
         let mut frame = letter.frame;
         frame.retries = 0;
+        frame.hint.sticky = true;
         site.scheduling.enqueue_executable(site, frame);
         true
     }

@@ -291,6 +291,57 @@ fn persistent_divergence_quarantines_and_redrives() {
     assert_eq!(inner.replication.pending(), 0);
 }
 
+/// A re-driven frame is pinned to the site that re-drove it: quarantine
+/// consumed it, so no directory or backup would know it anywhere else.
+/// Idle peers keep asking the coordinator for help while it waits.
+#[test]
+fn redriven_frame_executes_on_the_coordinator() {
+    let trace = TraceLog::new();
+    let cluster =
+        InProcessCluster::with_configs(vec![repl_config(); 4], Some(trace.clone())).unwrap();
+    let mut app = AppBuilder::new("divergent")
+        .replicate(ReplicationPolicy::replicate(2))
+        .on_failure(FailurePolicy::SkipFrame);
+    app.thread("work", |ctx: &mut ExecCtx<'_>| {
+        let v = ctx.param(0)?.as_u64()?;
+        let here = ctx.site_id().0 as u64;
+        ctx.send(ctx.target(0)?, 0, Value::from_u64(v + here))
+    });
+    let handle = cluster
+        .site(0)
+        .launch(&app, |ctx, result| {
+            let w = ctx.create_frame(WORK, 1, vec![result], Default::default());
+            ctx.send(w, 0, Value::from_u64(100))
+        })
+        .unwrap();
+    let inner = cluster.site(0).inner();
+    assert!(poll_until(Duration::from_secs(20), || inner
+        .deadletter
+        .count()
+        == 1));
+    let poison = inner.deadletter.letters()[0].frame.id;
+    assert!(inner.deadletter.redrive(inner, poison));
+    let coordinator = cluster.site(0).id();
+    assert_eq!(
+        handle.wait(WAIT).unwrap().as_u64().unwrap(),
+        100 + coordinator.0 as u64
+    );
+    // The result can land a beat before the execution is logged.
+    let ran_on = || -> Vec<SiteId> {
+        trace
+            .filter(|e| matches!(e, TraceEvent::FrameExecuted { frame, .. } if *frame == poison))
+            .iter()
+            .map(|e| e.site())
+            .collect()
+    };
+    poll_until(Duration::from_secs(5), || !ran_on().is_empty());
+    assert_eq!(
+        ran_on(),
+        vec![coordinator],
+        "executed once, on the coordinator"
+    );
+}
+
 /// No-fault property: across fan widths, a k = 3 replicated run returns
 /// the same answer as `Off` with the same ledger shape — one logical
 /// execution per frame, no divergence, no quarantine, empty escrow.
