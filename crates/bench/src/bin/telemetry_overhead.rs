@@ -13,8 +13,9 @@
 //! hot path. Since the crypto-v2 PR that path is drain-sealed: the
 //! seal-duration histogram is sampled once per *batch* at the writer's
 //! drain, and the send path reads no clocks unless a trace bus is
-//! attached and wants `Hops` events — the always-on floor is two
-//! counter observes plus a branch, with a 1/64 batch share of the seal
+//! attached and wants `Hops` events — the always-on floor is one
+//! counter observe (the message-manager hop; the network-manager hop
+//! counts nothing) plus a branch, with a 1/64 batch share of the seal
 //! timing. Full capture (`SDVM_TELEMETRY=all` with a bus attached) is
 //! an explicit opt-in priced separately below, like running with a
 //! profiler attached; it is reported, not gated.
@@ -74,7 +75,6 @@ fn seal(cap: &mut usize, ks: &mut KeyStore, dst: u32, msg: &SdMessage) -> Bytes 
 
 fn hop_event(manager: ManagerId) -> TraceEvent {
     TraceEvent::MessageHop {
-        site: SiteId(1),
         manager,
         payload: "FileData",
         outgoing: true,
@@ -95,7 +95,7 @@ fn send_telemetry(metrics: &Metrics, bus: &TraceLog, t0: Instant, t1: Instant) {
     metrics.observe(&ev0);
     let ev1 = hop_event(ManagerId::Network);
     metrics.observe(&ev1);
-    bus.emit_pair_at(ev0, t0, ev1, t1);
+    bus.emit_pair_at(SiteId(1), ev0, t0, ev1, t1);
 }
 
 fn measure_once(step: &mut impl FnMut()) -> f64 {
@@ -169,9 +169,9 @@ fn main() {
     };
 
     // The always-on floor of the drain-sealed send path, per message:
-    // two hop-counter observes and the bus check (no bus attached — the
-    // production default), plus a 1/64 batch share of the seal timing
-    // the writer's drain records once per batch.
+    // the message-manager hop's observe and the bus check (no bus
+    // attached — the production default), plus a 1/64 batch share of the
+    // seal timing the writer's drain records once per batch.
     const BATCH: u64 = 64;
     let metrics5 = Metrics::new();
     let bus5: Option<TraceLog> = None;
@@ -183,10 +183,7 @@ fn main() {
             {
                 unreachable!("no bus attached in the floor configuration");
             }
-            let ev0 = hop_event(ManagerId::Message);
-            metrics5.observe(&ev0);
-            let ev1 = hop_event(ManagerId::Network);
-            metrics5.observe(&ev1);
+            metrics5.observe(&hop_event(ManagerId::Message));
             std::hint::black_box(&metrics5);
         }
         // Once per batch: the drain's seal timing.

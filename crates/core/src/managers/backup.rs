@@ -167,7 +167,6 @@ pub(crate) fn recover(site: &SiteInner, dead: SiteId) {
         site.memory.adopt_frame(site, frame);
     }
     site.emit(TraceEvent::Recovered {
-        site: site.my_id(),
         dead,
         frames: nf,
         objects: no,

@@ -124,7 +124,7 @@ impl ClusterManager {
     /// its way through [`ClusterManager::observe_inbound`].
     fn start_suspicion(&self, site: &SiteInner, suspect: SiteId, incarnation: u64) {
         let me = site.my_id();
-        site.emit(TraceEvent::SiteSuspected { site: me, suspect });
+        site.emit(TraceEvent::SiteSuspected { suspect });
         let mut peers: Vec<SiteId> = self
             .known_sites()
             .into_iter()
@@ -324,10 +324,6 @@ impl ClusterManager {
     pub(super) fn gone(site: &SiteInner, gone: SiteId, crashed: bool) {
         site.security.forget(gone);
         site.rollup.forget(gone);
-        site.emit(TraceEvent::SiteGone {
-            site: site.my_id(),
-            gone,
-            crashed,
-        });
+        site.emit(TraceEvent::SiteGone { gone, crashed });
     }
 }

@@ -324,7 +324,6 @@ impl ClusterManager {
             if d.incarnation <= entry.floor {
                 drop(st);
                 site.emit(TraceEvent::StaleIncarnation {
-                    site: site.my_id(),
                     from: d.site,
                     incarnation: d.incarnation,
                 });
@@ -346,10 +345,7 @@ impl ClusterManager {
         let is_new = st.sites.insert(joined, d).is_none();
         self.heard_from(site, st, joined, incarnation);
         if is_new {
-            site.emit(TraceEvent::SiteJoined {
-                site: site.my_id(),
-                joined,
-            });
+            site.emit(TraceEvent::SiteJoined { joined });
         }
     }
 
@@ -374,11 +370,7 @@ impl ClusterManager {
                 }
                 let (addr, floor) = (entry.addr.clone(), entry.floor);
                 drop(st);
-                site.emit(TraceEvent::StaleIncarnation {
-                    site: site.my_id(),
-                    from,
-                    incarnation,
-                });
+                site.emit(TraceEvent::StaleIncarnation { from, incarnation });
                 if notify {
                     let notice = SdMessage::new(
                         site.my_id(),
@@ -421,7 +413,6 @@ impl ClusterManager {
         drop(st);
         if refuted {
             site.emit(TraceEvent::SuspicionRefuted {
-                site: site.my_id(),
                 suspect: from,
                 incarnation,
             });

@@ -115,7 +115,6 @@ impl CodeManager {
         }
         for target in self.code_sites(site, thread.program) {
             site.emit(TraceEvent::CodeRequested {
-                site: site.my_id(),
                 thread,
                 platform: self.my_platform,
             });
@@ -170,7 +169,6 @@ impl CodeManager {
         self.compiles
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         site.emit(TraceEvent::CodeCompiled {
-            site: site.my_id(),
             thread,
             platform: self.my_platform,
         });

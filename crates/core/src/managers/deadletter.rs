@@ -47,7 +47,6 @@ impl DeadLetterManager {
         let cause_text = cause.to_string();
         site.memory.consume_frame(site, id);
         site.emit(TraceEvent::FrameQuarantined {
-            site: site.my_id(),
             frame: id,
             thread,
             cause: std::sync::Arc::new(cause_text.clone()),

@@ -43,9 +43,7 @@ impl MemoryManager {
             Payload::ReplicaInvalidate { addr, version } => {
                 let dropped = self.shard(addr).replicas.remove(&addr).is_some();
                 if dropped {
-                    site.metrics.mem_invalidations.inc();
                     site.emit(TraceEvent::ReplicaInvalidated {
-                        site: site.my_id(),
                         object: addr,
                         version,
                     });

@@ -255,7 +255,6 @@ impl MemoryManager {
     /// its global address is known not before its allocation").
     pub fn create_frame(&self, site: &SiteInner, frame: Microframe) {
         site.emit(TraceEvent::FrameCreated {
-            site: site.my_id(),
             frame: frame.id,
             thread: frame.thread,
             slots: frame.slots.len(),
@@ -381,10 +380,7 @@ impl MemoryManager {
     }
 
     fn promote(&self, site: &SiteInner, frame: Microframe) {
-        site.emit(TraceEvent::FrameExecutable {
-            site: site.my_id(),
-            frame: frame.id,
-        });
+        site.emit(TraceEvent::FrameExecutable { frame: frame.id });
         // Under a replication policy, the frame's home site dispatches
         // tagged replicas instead of enqueueing — `intercept` keeps the
         // frame in escrow and returns `None`.

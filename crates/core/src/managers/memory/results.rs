@@ -34,7 +34,6 @@ impl MemoryManager {
         st.dirty.insert(program);
         drop(st);
         site.emit(TraceEvent::ParamApplied {
-            site: site.my_id(),
             frame: target,
             slot,
             missing,

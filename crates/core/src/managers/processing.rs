@@ -152,7 +152,6 @@ pub fn worker_loop(site: &Arc<SiteInner>) {
                     let delay = site.config.retry_backoff(frame.retries);
                     site.metrics.retry_delay_us.observe_duration(delay);
                     site.emit(TraceEvent::FrameRetried {
-                        site: site.my_id(),
                         frame: id,
                         thread,
                         attempt: frame.retries,
@@ -172,10 +171,6 @@ pub fn worker_loop(site: &Arc<SiteInner>) {
         }
         // The microframe is consumed by execution and vanishes (§3.2).
         site.memory.consume_frame(site, id);
-        site.emit(TraceEvent::FrameExecuted {
-            site: site.my_id(),
-            frame: id,
-            thread,
-        });
+        site.emit(TraceEvent::FrameExecuted { frame: id, thread });
     }
 }

@@ -230,10 +230,7 @@ impl ProgramManager {
             }
         }
         for program in stuck {
-            site.emit(TraceEvent::ProgramStuck {
-                site: site.my_id(),
-                program,
-            });
+            site.emit(TraceEvent::ProgramStuck { program });
             self.fail_local(site, program, SdvmError::ProgramStuck { program });
         }
     }

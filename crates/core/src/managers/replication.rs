@@ -210,9 +210,7 @@ impl ReplicationManager {
         mode: Mode,
     ) {
         let me = site.my_id();
-        site.metrics.replicas_dispatched.inc();
         site.emit(TraceEvent::ReplicaDispatched {
-            site: me,
             frame: wire.id,
             target,
             generation,
@@ -403,12 +401,7 @@ impl ReplicationManager {
                 let id = original.id;
                 let thread = original.thread;
                 if mode == Mode::Hedge && winner_generation > 0 {
-                    site.metrics.hedge_wins.inc();
-                    site.emit(TraceEvent::HedgeWon {
-                        site: site.my_id(),
-                        frame: id,
-                        winner,
-                    });
+                    site.emit(TraceEvent::HedgeWon { frame: id, winner });
                 }
                 // Applying the winner's sends may block on remote
                 // owners — helper task, never the router thread.
@@ -425,11 +418,7 @@ impl ReplicationManager {
                         }
                     }
                     site.memory.consume_frame(site, id);
-                    site.emit(TraceEvent::FrameExecuted {
-                        site: site.my_id(),
-                        frame: id,
-                        thread,
-                    });
+                    site.emit(TraceEvent::FrameExecuted { frame: id, thread });
                 });
             }
             Outcome::Redispatch {
@@ -441,10 +430,8 @@ impl ReplicationManager {
                 pending_for,
             } => {
                 if mode == Mode::Hedge {
-                    site.metrics.hedges_fired.inc();
                     site.metrics.hedge_delay_us.observe_duration(pending_for);
                     site.emit(TraceEvent::HedgeFired {
-                        site: site.my_id(),
                         frame: wire.id,
                         target,
                     });
@@ -478,9 +465,7 @@ fn tally(site: &SiteInner, frame: GlobalAddress, entry: &mut Entry) -> Outcome {
     }
     if groups.len() >= 2 && !entry.divergence_noted {
         entry.divergence_noted = true;
-        site.metrics.result_divergence.inc();
         site.emit(TraceEvent::ResultDivergence {
-            site: site.my_id(),
             frame,
             thread: entry.original.thread,
         });

@@ -394,10 +394,7 @@ impl SchedulingManager {
                     *e = e.saturating_sub(1);
                     match ensured {
                         Ok(func) => {
-                            site.emit(TraceEvent::FrameReady {
-                                site: site.my_id(),
-                                frame: frame.id,
-                            });
+                            site.emit(TraceEvent::FrameReady { frame: frame.id });
                             st.ready.push_back((frame, func));
                             continue;
                         }
@@ -435,10 +432,7 @@ impl SchedulingManager {
         let Some(target) = site.cluster.pick_help_target(site) else {
             return Ok(()); // alone in the cluster
         };
-        site.emit(TraceEvent::HelpRequested {
-            site: site.my_id(),
-            target,
-        });
+        site.emit(TraceEvent::HelpRequested { target });
         let load = site.cluster.my_load(site);
         let descriptor = if site.cluster.announced(target) {
             None
@@ -519,7 +513,6 @@ impl SchedulingManager {
                 match frame {
                     Some((frame, score)) => {
                         site.emit(TraceEvent::HelpGranted {
-                            site: site.my_id(),
                             requester,
                             frame: frame.id,
                             score,
@@ -558,10 +551,7 @@ impl SchedulingManager {
                         }
                     }
                     None => {
-                        site.emit(TraceEvent::HelpDenied {
-                            site: site.my_id(),
-                            requester,
-                        });
+                        site.emit(TraceEvent::HelpDenied { requester });
                         site.reply_to(&msg, ManagerId::Scheduling, Payload::CantHelp {});
                     }
                 }

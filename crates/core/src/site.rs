@@ -209,31 +209,27 @@ impl SiteInner {
     }
 
     /// Record a trace-point: updates the event-derived metrics, hands
-    /// the event to the trace bus if one is attached, and — when the
-    /// flight recorder is armed — checks it against the black-box
-    /// triggers. All four trigger events (crash verdicts, frame
-    /// quarantines, result divergence, stuck programs) flow through
-    /// this plain `emit`, never the batched hot-path variants, so this
-    /// is the single chokepoint; without a recorder the extra cost is
-    /// one `Option` branch.
+    /// the event to the trace bus if one is attached (stamped with this
+    /// site's id, read only then), and — when the flight recorder is
+    /// armed — checks it against the black-box triggers. All four
+    /// trigger events (crash verdicts, frame quarantines, result
+    /// divergence, stuck programs) flow through this plain `emit`, never
+    /// the paired hot-path variant, so this is the single chokepoint;
+    /// without a recorder the extra cost is one `Option` branch.
     pub fn emit(&self, ev: TraceEvent) {
         self.metrics.observe(&ev);
         if self.recorder.is_some() {
             self.maybe_flight_record(&ev);
         }
         if let Some(t) = &self.trace {
-            t.emit(ev);
+            t.emit(self.my_id(), ev);
         }
     }
 
     /// Count and trace a silent discard (`sdvm_dropped_total`,
     /// [`TraceEvent::Dropped`]).
     pub(crate) fn dropped(&self, reason: DropReason, detail: String) {
-        self.emit(TraceEvent::Dropped {
-            site: self.my_id(),
-            reason,
-            detail,
-        });
+        self.emit(TraceEvent::Dropped { reason, detail });
     }
 
     /// Flight-recorder trigger check: classify the event and, if it is
@@ -253,7 +249,6 @@ impl SiteInner {
             if let Some(r) = &site.recorder {
                 if let Some(path) = r.record(site, trigger, &detail) {
                     site.emit(TraceEvent::PostmortemWritten {
-                        site: site.my_id(),
                         trigger,
                         path: std::sync::Arc::new(path.display().to_string()),
                     });
@@ -281,16 +276,6 @@ impl SiteInner {
         *self.ops_bound.lock() = Some(addr);
     }
 
-    /// [`SiteInner::emit`] with a caller-supplied clock read, for hot
-    /// paths that already timed their work (seal/open): sharing the
-    /// `Instant` keeps telemetry to one clock read per event.
-    pub fn emit_at(&self, ev: TraceEvent, now: std::time::Instant) {
-        self.metrics.observe(&ev);
-        if let Some(t) = &self.trace {
-            t.emit_at(ev, now);
-        }
-    }
-
     /// True when a trace bus is attached *and* its filter keeps `cat`
     /// events. Hot paths check this before reading clocks or building
     /// events the bus would discard anyway — with no bus (the
@@ -312,7 +297,7 @@ impl SiteInner {
         self.metrics.observe(&ev0);
         self.metrics.observe(&ev1);
         if let Some(t) = &self.trace {
-            t.emit_pair_at(ev0, t0, ev1, t1);
+            t.emit_pair_at(self.my_id(), ev0, t0, ev1, t1);
         }
     }
 
@@ -445,6 +430,12 @@ impl SiteInner {
         // the one outbound choke point makes the freeze airtight.
         self.pause_gate();
         msg.src_incarnation = self.my_incarnation();
+        let hop = |manager| TraceEvent::MessageHop {
+            manager,
+            payload: msg.payload.name(),
+            outgoing: true,
+            trace: msg.trace.id,
+        };
         // Drain-time sealing: for established peer traffic, hand the
         // transport the serialized message and let its writer thread
         // seal — coalescing bursts into batch-sealed records. Join
@@ -454,16 +445,9 @@ impl SiteInner {
             && msg.dst_site.is_valid()
             && self.my_id().is_valid()
         {
-            let hop = |manager| TraceEvent::MessageHop {
-                site: self.my_id(),
-                manager,
-                payload: msg.payload.name(),
-                outgoing: true,
-                trace: msg.trace.id,
-            };
             // Seal timing lives at the writer's drain now (one
             // histogram sample per batch), so per message the only
-            // unconditional telemetry is the two hop counters; clock
+            // unconditional telemetry is the sent-message counter; clock
             // reads happen just when a trace consumer wants the stamps.
             if self.trace_wants(Category::Hops) {
                 let t0 = std::time::Instant::now();
@@ -473,8 +457,9 @@ impl SiteInner {
                 return self.transport.send_plain(addr, msg.dst_site.0, body);
             }
             let body = self.security.encode_plain(&msg);
+            // The network-manager hop counts nothing, so without a bus
+            // only the message-manager hop is observed.
             self.metrics.observe(&hop(ManagerId::Message));
-            self.metrics.observe(&hop(ManagerId::Network));
             return self.transport.send_plain(addr, msg.dst_site.0, body);
         }
         // Two clock reads serve four consumers: `t0` stamps the
@@ -487,24 +472,7 @@ impl SiteInner {
         self.metrics
             .seal_us
             .observe_duration(t1.saturating_duration_since(t0));
-        self.emit_pair_at(
-            TraceEvent::MessageHop {
-                site: self.my_id(),
-                manager: ManagerId::Message,
-                payload: msg.payload.name(),
-                outgoing: true,
-                trace: msg.trace.id,
-            },
-            t0,
-            TraceEvent::MessageHop {
-                site: self.my_id(),
-                manager: ManagerId::Network,
-                payload: msg.payload.name(),
-                outgoing: true,
-                trace: msg.trace.id,
-            },
-            t1,
-        );
+        self.emit_pair_at(hop(ManagerId::Message), t0, hop(ManagerId::Network), t1);
         self.transport.send(addr, frame)
     }
 
@@ -564,7 +532,6 @@ impl SiteInner {
     /// target manager. Replies wake their waiters instead.
     pub fn dispatch(&self, msg: SdMessage) {
         self.emit(TraceEvent::MessageHop {
-            site: self.my_id(),
             manager: msg.dst_manager,
             payload: msg.payload.name(),
             outgoing: false,
@@ -592,7 +559,10 @@ impl SiteInner {
             match &msg.payload {
                 Payload::HelpReply { .. } => {}
                 Payload::MemValue { migrated: true, .. } => {}
-                _ => return,
+                other => {
+                    let detail = format!("{} from {}, seq {r}", other.name(), msg.src_site);
+                    return self.dropped(DropReason::UnclaimedReply, detail);
+                }
             }
         }
         let handler = manager_index(msg.dst_manager);
@@ -606,13 +576,8 @@ impl SiteInner {
             ManagerId::Io => self.io.handle(self, msg),
             ManagerId::Site => self.site_mgr.handle(self, msg),
             other => {
-                self.emit(TraceEvent::MessageHop {
-                    site: self.my_id(),
-                    manager: other,
-                    payload: "undeliverable",
-                    outgoing: false,
-                    trace: 0,
-                });
+                let detail = format!("{} for {other:?}", msg.payload.name());
+                self.dropped(DropReason::NoSuchManager, detail);
             }
         }
         if let Some(idx) = handler {
@@ -823,17 +788,26 @@ impl Site {
                                 .metrics
                                 .open_us
                                 .observe_duration(open_started.elapsed());
-                            let Ok(opened) = opened else {
-                                continue; // forged/corrupt: drop
+                            let opened = match opened {
+                                Ok(opened) => opened,
+                                Err(e) => {
+                                    inner.dropped(DropReason::Unauthenticated, e.to_string());
+                                    continue;
+                                }
                             };
                             for rec in opened.records() {
-                                let Ok(rec) = rec else {
-                                    break; // malformed batch interior: drop rest
+                                let rec = match rec {
+                                    Ok(rec) => rec,
+                                    Err(e) => {
+                                        // The rest of the batch goes with it.
+                                        inner.dropped(DropReason::MalformedBatch, e.to_string());
+                                        break;
+                                    }
                                 };
-                                let Ok(msg) = SdMessage::from_bytes(rec) else {
-                                    continue; // undecodable record: drop
-                                };
-                                inner.dispatch(msg);
+                                match SdMessage::from_bytes(rec) {
+                                    Ok(msg) => inner.dispatch(msg),
+                                    Err(e) => inner.dropped(DropReason::Undecodable, e.to_string()),
+                                }
                             }
                         }
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
@@ -965,10 +939,7 @@ fn supervise_workers(inner: &Arc<SiteInner>) {
                 let _ = h.join();
             }
             *slot = spawn_worker(inner.clone(), i);
-            inner.emit(TraceEvent::WorkerRespawned {
-                site: inner.my_id(),
-                slot: i as u32,
-            });
+            inner.emit(TraceEvent::WorkerRespawned { slot: i as u32 });
         }
     }
 }

@@ -70,8 +70,8 @@ struct SliceMarks {
 
 /// Render a recorded event stream as a Chrome/Perfetto `trace.json`
 /// document: one "process" (track group) per site, with career slices
-/// (tid 1), message-hop instants (tid 2) and membership/detector
-/// instants (tid 3). A migrated frame's spans appear on every site that
+/// (tid 1), message-hop instants (tid 2) and, on the cluster track
+/// (tid 3), an instant for every event the event table labels. A migrated frame's spans appear on every site that
 /// hosted part of its career, tied together by the frame's trace id in
 /// the slice args and by flow arrows from `HelpGranted` on the granter
 /// to `FrameExecuted` on the adopter.
@@ -111,7 +111,7 @@ pub fn perfetto_trace_json(events: &[BusEvent]) -> String {
     };
 
     for b in events {
-        let site = b.event.site();
+        let site = b.site;
         note_site(&mut sites_seen, site);
         let ts = b.at_micros;
         match &b.event {
@@ -162,7 +162,6 @@ pub fn perfetto_trace_json(events: &[BusEvent]) -> String {
                 payload,
                 outgoing,
                 trace,
-                ..
             } => {
                 let dir = if *outgoing { "out" } else { "in" };
                 entries.push(format!(
@@ -176,60 +175,9 @@ pub fn perfetto_trace_json(events: &[BusEvent]) -> String {
                 ));
             }
             other => {
-                // Membership / detector / code events: process-scoped
+                // Everything the event table labels: process-scoped
                 // instants on the cluster track.
-                let name = match other {
-                    TraceEvent::SiteJoined { joined, .. } => format!("join site {}", joined.0),
-                    TraceEvent::SiteSuspected { suspect, .. } => {
-                        format!("suspect site {}", suspect.0)
-                    }
-                    TraceEvent::SuspicionRefuted { suspect, .. } => {
-                        format!("refute site {}", suspect.0)
-                    }
-                    TraceEvent::StaleIncarnation { from, .. } => {
-                        format!("fence zombie {}", from.0)
-                    }
-                    TraceEvent::SiteGone { gone, crashed, .. } => {
-                        if *crashed {
-                            format!("declare crash {}", gone.0)
-                        } else {
-                            format!("sign-off {}", gone.0)
-                        }
-                    }
-                    TraceEvent::Recovered { dead, frames, .. } => {
-                        format!("recover {} ({frames} frames)", dead.0)
-                    }
-                    TraceEvent::HelpRequested { target, .. } => format!("ask help {}", target.0),
-                    TraceEvent::HelpDenied { requester, .. } => {
-                        format!("deny help {}", requester.0)
-                    }
-                    TraceEvent::CodeRequested { thread, .. } => format!("request code {thread:?}"),
-                    TraceEvent::CodeCompiled { thread, .. } => format!("compile {thread:?}"),
-                    TraceEvent::FrameRetried { frame, attempt, .. } => {
-                        format!(
-                            "retry frame {}.{} (attempt {attempt})",
-                            frame.home.0, frame.local
-                        )
-                    }
-                    TraceEvent::FrameQuarantined { frame, cause, .. } => {
-                        format!("quarantine frame {}.{}: {cause}", frame.home.0, frame.local)
-                    }
-                    TraceEvent::WorkerRespawned { slot, .. } => {
-                        format!("respawn worker slot {slot}")
-                    }
-                    TraceEvent::ProgramStuck { program, .. } => {
-                        format!("program {program} stuck")
-                    }
-                    TraceEvent::ReplicaInvalidated {
-                        object, version, ..
-                    } => {
-                        format!(
-                            "invalidate replica {}.{} (v{version})",
-                            object.home.0, object.local
-                        )
-                    }
-                    _ => continue,
-                };
+                let Some(name) = other.label() else { continue };
                 entries.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"cluster\",\"ph\":\"i\",\"s\":\"p\",\
 \"ts\":{ts},\"pid\":{},\"tid\":3}}",
@@ -341,19 +289,17 @@ mod tests {
 
     fn run_career(log: &TraceLog, site: SiteId, frame: GlobalAddress) {
         let thread = MicrothreadId::new(ProgramId(1), 0);
-        log.emit(TraceEvent::FrameCreated {
+        log.emit(
             site,
-            frame,
-            thread,
-            slots: 1,
-        });
-        log.emit(TraceEvent::FrameExecutable { site, frame });
-        log.emit(TraceEvent::FrameReady { site, frame });
-        log.emit(TraceEvent::FrameExecuted {
-            site,
-            frame,
-            thread,
-        });
+            TraceEvent::FrameCreated {
+                frame,
+                thread,
+                slots: 1,
+            },
+        );
+        log.emit(site, TraceEvent::FrameExecutable { frame });
+        log.emit(site, TraceEvent::FrameReady { frame });
+        log.emit(site, TraceEvent::FrameExecuted { frame, thread });
     }
 
     #[test]
@@ -361,20 +307,24 @@ mod tests {
         let log = TraceLog::new();
         let frame = GlobalAddress::new(SiteId(1), 7);
         run_career(&log, SiteId(1), frame);
-        log.emit(TraceEvent::HelpGranted {
-            site: SiteId(1),
-            requester: SiteId(2),
-            frame,
-            score: 1,
-        });
+        log.emit(
+            SiteId(1),
+            TraceEvent::HelpGranted {
+                requester: SiteId(2),
+                frame,
+                score: 1,
+            },
+        );
         run_career(&log, SiteId(2), frame);
-        log.emit(TraceEvent::MessageHop {
-            site: SiteId(1),
-            manager: ManagerId::Message,
-            payload: "HelpReply",
-            outgoing: true,
-            trace: trace_id_of(frame),
-        });
+        log.emit(
+            SiteId(1),
+            TraceEvent::MessageHop {
+                manager: ManagerId::Message,
+                payload: "HelpReply",
+                outgoing: true,
+                trace: trace_id_of(frame),
+            },
+        );
         let json = perfetto_trace_json(&log.timestamped());
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"name\":\"site 1\""));

@@ -262,8 +262,9 @@ fn render_postmortem(
             }
             let _ = write!(
                 out,
-                "\n    {{\"seq\": {}, \"site_seq\": {}, \"at_micros\": {}, \"event\": \"{}\"}}",
+                "\n    {{\"seq\": {}, \"site\": {}, \"site_seq\": {}, \"at_micros\": {}, \"event\": \"{}\"}}",
                 e.seq,
+                e.site.0,
                 e.site_seq,
                 e.at_micros,
                 json_escape(&format!("{:?}", e.event)),
@@ -288,13 +289,11 @@ mod tests {
     #[test]
     fn triggers_classify_the_four_black_box_events() {
         let gone = TraceEvent::SiteGone {
-            site: SiteId(1),
             gone: SiteId(2),
             crashed: true,
         };
         assert_eq!(trigger_of(&gone).unwrap().0, "declare_crashed");
         let benign = TraceEvent::SiteGone {
-            site: SiteId(1),
             gone: SiteId(2),
             crashed: false,
         };
@@ -303,20 +302,17 @@ mod tests {
             "orderly sign-off is no incident"
         );
         let q = TraceEvent::FrameQuarantined {
-            site: SiteId(1),
             frame: GlobalAddress::new(SiteId(1), 7),
             thread: MicrothreadId::new(ProgramId(1), 0),
             cause: Arc::new("poison".to_string()),
         };
         assert_eq!(trigger_of(&q).unwrap().0, "frame_quarantined");
         let d = TraceEvent::ResultDivergence {
-            site: SiteId(1),
             frame: GlobalAddress::new(SiteId(1), 7),
             thread: MicrothreadId::new(ProgramId(1), 0),
         };
         assert_eq!(trigger_of(&d).unwrap().0, "result_divergence");
         let s = TraceEvent::ProgramStuck {
-            site: SiteId(1),
             program: ProgramId(3),
         };
         assert_eq!(trigger_of(&s).unwrap().0, "program_stuck");

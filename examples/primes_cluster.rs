@@ -42,9 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Where did the microthreads actually run?
     let mut per_site = std::collections::BTreeMap::new();
-    for e in trace.filter(|e| matches!(e, TraceEvent::FrameExecuted { .. })) {
-        if let TraceEvent::FrameExecuted { site, .. } = e {
-            *per_site.entry(site).or_insert(0u64) += 1;
+    for b in trace.timestamped() {
+        if let TraceEvent::FrameExecuted { .. } = b.event {
+            *per_site.entry(b.site).or_insert(0u64) += 1;
         }
     }
     println!("microthreads executed per site:");

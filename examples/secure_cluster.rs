@@ -70,21 +70,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if want_trace {
         println!();
         println!("=== message delivery through the manager stack (Fig. 6) ===");
-        for e in trace
-            .filter(|e| matches!(e, TraceEvent::MessageHop { .. }))
+        for b in trace
+            .timestamped()
             .into_iter()
+            .filter(|b| matches!(b.event, TraceEvent::MessageHop { .. }))
             .take(20)
         {
             if let TraceEvent::MessageHop {
-                site,
                 manager,
                 payload,
                 outgoing,
                 ..
-            } = e
+            } = b.event
             {
                 let dir = if outgoing { "send" } else { "recv" };
-                println!("{site} {dir:<4} [{manager}] {payload}");
+                println!("{} {dir:<4} [{manager}] {payload}", b.site);
             }
         }
     }

@@ -68,21 +68,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 4: one frame's walk through the managers.
     println!();
     println!("=== execution-cycle manager hops (Fig. 4/6), first 14 events ===");
-    for e in trace
-        .filter(|e| matches!(e, TraceEvent::MessageHop { .. }))
+    for b in trace
+        .timestamped()
         .into_iter()
+        .filter(|b| matches!(b.event, TraceEvent::MessageHop { .. }))
         .take(14)
     {
         if let TraceEvent::MessageHop {
-            site,
             manager,
             payload,
             outgoing,
             ..
-        } = e
+        } = b.event
         {
             let dir = if outgoing { "→" } else { "←" };
-            println!("{site} {dir} [{manager}] {payload}");
+            println!("{} {dir} [{manager}] {payload}", b.site);
         }
     }
     Ok(())
